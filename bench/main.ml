@@ -243,14 +243,137 @@ let run_serve ?seed () =
       end
     end
 
+(* The committed BENCH_resil.json document. Its schema predates
+   [Resilience.to_json] (longer field names, [null] for the infinite
+   interval, rounded analytic columns), so it is rebuilt here field for
+   field. *)
+let resil_doc ~intervals (stats : Resilience.stats) =
+  let round digits x =
+    let scale = 10. ** float_of_int digits in
+    Float.round (x *. scale) /. scale
+  in
+  let interval i = if i = 0 then Obs_json.Null else Obs_json.Int i in
+  let open Resilience in
+  Obs_json.Obj
+    [
+      ("bench", Obs_json.Str "resil");
+      ("source", Obs_json.Str "bench/main.exe resil");
+      ("workload", Obs_json.Str (Printf.sprintf "batched recursive fib, z=%d" stats.z));
+      ("intervals", Obs_json.List (List.map interval intervals));
+      ( "note",
+        Obs_json.Str
+          "interval null = initial checkpoint only (infinite interval); overhead \
+           is analytic checkpoint I/O (bytes / bandwidth) over useful \
+           supersteps; bitwise_identical compares the recovered run against the \
+           fault-free run" );
+      ("z", Obs_json.Int stats.z);
+      ("ckpt_bandwidth_bytes_per_superstep", Obs_json.Float stats.ckpt_bandwidth);
+      ("delta_steps_per_checkpoint", Obs_json.Float (round 4 stats.delta_steps));
+      ( "young_optimal",
+        Obs_json.List
+          (List.map
+             (fun (rate, t_opt) ->
+               Obs_json.Obj
+                 [
+                   ("rate", Obs_json.Float rate);
+                   ("mtbf", Obs_json.Float (round 1 (1. /. rate)));
+                   ("t_opt", Obs_json.Float (round 1 t_opt));
+                 ])
+             stats.young) );
+      ( "points",
+        Obs_json.List
+          (List.map
+             (fun p ->
+               Obs_json.Obj
+                 [
+                   ("vm", Obs_json.Str p.vm);
+                   ("interval", interval p.interval);
+                   ("rate", Obs_json.Float p.rate);
+                   ("faults", Obs_json.Int p.faults);
+                   ("restores", Obs_json.Int p.restores);
+                   ("link_retries", Obs_json.Int p.link_retries);
+                   ("checkpoints", Obs_json.Int p.checkpoints);
+                   ("ckpt_bytes", Obs_json.Int p.ckpt_bytes);
+                   ("useful_supersteps", Obs_json.Int p.useful);
+                   ("wasted_supersteps", Obs_json.Int p.wasted);
+                   ("overhead_pct", Obs_json.Float (round 4 p.overhead_pct));
+                   ("recovered_pct", Obs_json.Float (round 2 p.recovered_pct));
+                   ("bitwise_identical", Obs_json.Bool p.identical);
+                 ])
+             stats.points) );
+    ]
+
+(* The deterministic columns of each point, the ones the drift gate
+   compares: everything except the rounded analytic percentages. *)
+let resil_columns doc =
+  let keys =
+    [ "vm"; "interval"; "rate"; "faults"; "restores"; "link_retries"; "checkpoints";
+      "ckpt_bytes"; "useful_supersteps"; "wasted_supersteps"; "bitwise_identical" ]
+  in
+  match Obs_json.member "points" doc with
+  | Some (Obs_json.List points) ->
+    List.map
+      (fun p ->
+        List.map
+          (fun k ->
+            match Obs_json.member k p with
+            | Some v -> Obs_json.to_string v
+            | None -> "missing")
+          keys
+        |> String.concat " ")
+      points
+  | _ -> []
+
 let run_resil ?seed () =
   (* Bench-sized resilience sweep: checkpoint overhead at intervals
      {1, 8, 64, inf} and recovery under a 5% per-superstep fault rate,
-     with the bitwise-identity check live in the last column. *)
-  let seed = Option.map Int64.to_int seed in
-  Resilience.print
-    (Resilience.run ~z:16 ~intervals:[ 1; 8; 64; 0 ] ~rates:[ 0.; 0.05 ] ?seed ());
-  print_newline ()
+     with the bitwise-identity check live in the last column. At the
+     default seed the sweep is deterministic, so its counters are a
+     regression baseline: the stage diffs them against the committed
+     BENCH_resil.json and fails on any drift (first run writes the
+     baseline; --seed skips the diff). *)
+  let intervals = [ 1; 8; 64; 0 ] in
+  let stats =
+    Resilience.run ~z:16 ~intervals ~rates:[ 0.; 0.05 ]
+      ?seed:(Option.map Int64.to_int seed) ()
+  in
+  Resilience.print stats;
+  print_newline ();
+  match seed with
+  | Some _ -> ()
+  | None ->
+    let path = "BENCH_resil.json" in
+    let doc = resil_doc ~intervals stats in
+    if not (Sys.file_exists path) then begin
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Obs_json.to_string_pretty doc ^ "\n"));
+      Printf.printf "resil: wrote new baseline %s\n\n" path
+    end
+    else begin
+      let committed =
+        match Obs_json.of_string (In_channel.with_open_text path In_channel.input_all) with
+        | Ok old -> resil_columns old
+        | Error _ -> []
+      in
+      let fresh = resil_columns doc in
+      if committed = fresh then Printf.printf "resil: matches committed %s\n\n" path
+      else begin
+        let rec diff i a b =
+          match (a, b) with
+          | x :: a', y :: b' ->
+            if x <> y then Printf.eprintf "  point %d: committed %s\n           now %s\n" i x y;
+            diff (i + 1) a' b'
+          | [], [] -> ()
+          | _ -> Printf.eprintf "  point count differs: committed %d, now %d\n"
+                   (List.length committed) (List.length fresh)
+        in
+        diff 0 committed fresh;
+        prerr_endline
+          ("resil stage failed: counters drifted from committed " ^ path
+         ^ " (delete the file and rerun to re-baseline intentionally)");
+        exit 1
+      end
+    end
 
 let run_obs ?seed () =
   (* Observability overhead smoke: the same workload with no sink and with

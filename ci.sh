@@ -82,6 +82,15 @@ fi
 step "bench serve baseline"
 dune exec bench/main.exe -- serve
 
+# Recovery must replay exactly: the resil stage runs the checkpoint-
+# interval x fault-rate sweep over all four recovery drivers (pc, jit,
+# sharded, server) and exits nonzero if any deterministic counter
+# (faults, restores, link retries, checkpoints, checkpoint bytes,
+# useful/wasted supersteps, bitwise identity) drifts from the committed
+# BENCH_resil.json. About a second.
+step "bench resil baseline"
+dune exec bench/main.exe -- resil
+
 # Request-scoped tracing must also be free: the obs2 stage replays the
 # tenant trace bare and with a span recorder + SLO burn-rate monitor
 # attached, and exits nonzero unless the observed run is bitwise

@@ -142,3 +142,7 @@ else
 fi
 
 printf '\nci.sh: all checks passed\n'
+
+# Code size is a tracked metric (ROADMAP): lines of lib/ sources.
+printf 'lib/ line count (.ml + .mli): %s\n' \
+  "$(cat lib/*/*.ml lib/*/*.mli | wc -l | tr -d ' ')"

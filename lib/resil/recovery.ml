@@ -24,30 +24,6 @@ let young_interval ~checkpoint_cost ~mtbf =
     invalid_arg "Recovery.young_interval: cost and MTBF must be positive";
   sqrt (2. *. checkpoint_cost *. mtbf)
 
-(* Mutable tallies threaded through one recovered run. *)
-type tally = {
-  mutable t_checkpoints : int;
-  mutable t_bytes : int;
-  mutable t_restores : int;
-  mutable t_wasted : int;
-  mutable t_link_retries : int;
-}
-
-let tally () =
-  { t_checkpoints = 0; t_bytes = 0; t_restores = 0; t_wasted = 0; t_link_retries = 0 }
-
-let finish tl inj ~useful =
-  {
-    supersteps = useful + tl.t_wasted;
-    useful_supersteps = useful;
-    wasted_supersteps = tl.t_wasted;
-    checkpoints = tl.t_checkpoints;
-    checkpoint_bytes = tl.t_bytes;
-    restores = tl.t_restores;
-    faults_injected = Fault.injected inj;
-    link_retries = tl.t_link_retries;
-  }
-
 let check_interval interval =
   if interval < 0 then invalid_arg "Recovery: checkpoint interval must be >= 0"
 
@@ -57,15 +33,6 @@ let batch_z = function
     if Tensor.rank first = 0 then
       invalid_arg "Recovery: inputs must carry a leading batch dimension";
     (Tensor.shape first).(0)
-
-(* Install the kernel-poison seam on an engine for the duration of [f].
-   The sink is cleared afterwards so the caller's engine is left clean. *)
-let with_engine_sink engine inj f =
-  match engine with
-  | None -> f ()
-  | Some e ->
-    Engine.set_sink e (Fault.sink inj);
-    Fun.protect ~finally:(fun () -> Engine.clear_sink e) f
 
 (* Compose the user's sink (first, so tracing observes the superstep the
    fault aborts) with the injector's. *)
@@ -77,6 +44,90 @@ let fault_sink user inj =
 (* Checkpoint/restore lifecycle events go to the user's sink only. *)
 let notify user ev = match user with None -> () | Some s -> s ev
 
+(* What the driver needs from one recoverable runtime. *)
+type 'a runtime = {
+  step : unit -> bool;  (** one superstep or round; [false] once drained *)
+  position : unit -> int;
+      (** supersteps or rounds so far: the checkpoint cadence and the
+          [step] of lifecycle events *)
+  work : unit -> int;  (** supersteps executed by the surviving run *)
+  capture : unit -> string;
+  restore : Fault.event -> string -> unit;  (** rewind after the fault *)
+  result : unit -> 'a;
+}
+
+(* The one recovery loop behind every entry point: checkpoint every
+   [interval] positions (plus once up front), and on a fault restore
+   from the latest blob — every restore decodes it, a genuine
+   serialization round trip — counting the work lost since as wasted.
+   Ticks either ride the runtime's own [Step] events or, with
+   [explicit_tick], open each round here, where dropped links are
+   retried at one wasted superstep each. Kernel poison enters through
+   the engine's sink, installed for the duration of the run. *)
+let drive ~inj ~interval ~sink ~engine ~explicit_tick rt =
+  let checkpoints = ref 0 and checkpoint_bytes = ref 0 in
+  let restores = ref 0 and wasted = ref 0 and link_retries = ref 0 in
+  let capture () =
+    let blob = rt.capture () in
+    let bytes = String.length blob in
+    incr checkpoints;
+    checkpoint_bytes := !checkpoint_bytes + bytes;
+    notify sink (Obs_sink.Checkpoint { step = rt.position (); bytes });
+    blob
+  in
+  let latest = ref (capture ()) in
+  let step () =
+    if explicit_tick then begin
+      Fault.tick inj;
+      List.iter
+        (fun (_ : Fault.event) ->
+          incr link_retries;
+          incr wasted)
+        (Fault.drops_now inj)
+    end;
+    rt.step ()
+  in
+  let rec loop () =
+    let before = rt.work () in
+    match step () with
+    | true ->
+      if interval > 0 && rt.position () mod interval = 0 then latest := capture ();
+      loop ()
+    | false -> ()
+    | exception Fault.Injected ev ->
+      rt.restore ev !latest;
+      incr restores;
+      wasted := !wasted + max 0 (before - rt.work ());
+      notify sink (Obs_sink.Restore { step = rt.position () });
+      loop ()
+  in
+  (match engine with
+  | None -> loop ()
+  | Some e ->
+    Engine.set_sink e (Fault.sink inj);
+    Fun.protect ~finally:(fun () -> Engine.clear_sink e) loop);
+  let useful = rt.work () in
+  ( rt.result (),
+    {
+      supersteps = useful + !wasted;
+      useful_supersteps = useful;
+      wasted_supersteps = !wasted;
+      checkpoints = !checkpoints;
+      checkpoint_bytes = !checkpoint_bytes;
+      restores = !restores;
+      faults_injected = Fault.injected inj;
+      link_retries = !link_retries;
+    } )
+
+(* Engine and instrument state ride along in the single-VM checkpoints. *)
+let restore_extras ~engine ~instrument (ck : _ Snapshot.checkpoint) =
+  (match (engine, ck.Snapshot.ck_engine) with
+  | Some e, Some s -> Engine.restore e s
+  | _ -> ());
+  match (instrument, ck.Snapshot.ck_instrument) with
+  | Some i, Some s -> Instrument.restore i s
+  | _ -> ()
+
 (* ---- Program-counter VM ----------------------------------------------- *)
 
 let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg program
@@ -85,63 +136,34 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
   let inj = Fault.injector plan in
   let user_sink = config.Pc_vm.sink in
   let config = { config with Pc_vm.sink = Some (fault_sink user_sink inj) } in
+  let engine = config.Pc_vm.engine and instrument = config.Pc_vm.instrument in
   let z = batch_z batch in
   let lanes = Pc_vm.Lanes.create ~config reg program ~z in
   for lane = 0 to z - 1 do
     Pc_vm.Lanes.load lanes ~lane ~member:(config.Pc_vm.member_base + lane)
       ~inputs:(List.map (fun t -> Tensor.slice_row t lane) batch)
   done;
-  let tl = tally () in
-  let capture () =
-    let blob =
-      Snapshot.encode_pc
-        {
-          Snapshot.ck_vm = Pc_vm.Lanes.capture lanes;
-          ck_engine = Option.map Engine.snapshot config.Pc_vm.engine;
-          ck_instrument = Option.map Instrument.capture config.Pc_vm.instrument;
-        }
-    in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    notify user_sink
-      (Obs_sink.Checkpoint
-         { step = Pc_vm.Lanes.steps lanes; bytes = String.length blob });
-    blob
-  in
-  (* Every restore decodes the stored blob — a genuine serialization round
-     trip per recovery, not a shortcut through the in-memory image. *)
-  let restore blob =
-    let ck = Snapshot.decode_pc blob in
-    Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
-    (match (config.Pc_vm.engine, ck.Snapshot.ck_engine) with
-    | Some e, Some s -> Engine.restore e s
-    | _ -> ());
-    (match (config.Pc_vm.instrument, ck.Snapshot.ck_instrument) with
-    | Some i, Some s -> Instrument.restore i s
-    | _ -> ());
-    notify user_sink (Obs_sink.Restore { step = Pc_vm.Lanes.steps lanes })
-  in
-  let latest = ref (capture ()) in
-  with_engine_sink config.Pc_vm.engine inj (fun () ->
-      let rec loop () =
-        match Pc_vm.Lanes.step lanes with
-        | true ->
-          if interval > 0 && Pc_vm.Lanes.steps lanes mod interval = 0 then
-            latest := capture ();
-          loop ()
-        | false -> ()
-        | exception Fault.Injected _ ->
-          (* The faulted superstep never completed: completed work is
-             [steps - 1] supersteps, of which everything past the last
-             checkpoint must be re-executed. *)
-          let completed = max 0 (Pc_vm.Lanes.steps lanes - 1) in
-          restore !latest;
-          tl.t_restores <- tl.t_restores + 1;
-          tl.t_wasted <- tl.t_wasted + max 0 (completed - Pc_vm.Lanes.steps lanes);
-          loop ()
-      in
-      loop ());
-  (Pc_vm.Lanes.outputs lanes, finish tl inj ~useful:(Pc_vm.Lanes.steps lanes))
+  let steps () = Pc_vm.Lanes.steps lanes in
+  drive ~inj ~interval ~sink:user_sink ~engine ~explicit_tick:false
+    {
+      step = (fun () -> Pc_vm.Lanes.step lanes);
+      position = steps;
+      work = steps;
+      capture =
+        (fun () ->
+          Snapshot.encode_pc
+            {
+              Snapshot.ck_vm = Pc_vm.Lanes.capture lanes;
+              ck_engine = Option.map Engine.snapshot engine;
+              ck_instrument = Option.map Instrument.capture instrument;
+            });
+      restore =
+        (fun _ blob ->
+          let ck = Snapshot.decode_pc blob in
+          Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
+          restore_extras ~engine ~instrument ck);
+      result = (fun () -> Pc_vm.Lanes.outputs lanes);
+    }
 
 (* ---- Precompiled (JIT) VM --------------------------------------------- *)
 
@@ -151,53 +173,30 @@ let run_jit ?sched ?engine ?instrument ?sink:user_sink ?max_steps ?(interval = 0
   let inj = Fault.injector plan in
   let sink = fault_sink user_sink inj in
   Pc_jit.load exe ~batch;
-  let tl = tally () in
-  let capture () =
-    let blob =
-      Snapshot.encode_jit
-        {
-          Snapshot.ck_vm = Pc_jit.capture exe;
-          ck_engine = Option.map Engine.snapshot engine;
-          ck_instrument = Option.map Instrument.capture instrument;
-        }
-    in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    notify user_sink
-      (Obs_sink.Checkpoint { step = Pc_jit.steps exe; bytes = String.length blob });
-    blob
-  in
-  let restore blob =
-    let ck = Snapshot.decode_jit blob in
-    Pc_jit.restore exe ck.Snapshot.ck_vm;
-    (match (engine, ck.Snapshot.ck_engine) with
-    | Some e, Some s -> Engine.restore e s
-    | _ -> ());
-    (match (instrument, ck.Snapshot.ck_instrument) with
-    | Some i, Some s -> Instrument.restore i s
-    | _ -> ());
-    notify user_sink (Obs_sink.Restore { step = Pc_jit.steps exe })
-  in
-  let latest = ref (capture ()) in
-  with_engine_sink engine inj (fun () ->
-      let rec loop () =
-        (* The executor's [Step] event carries the tick: it fires after
-           the step counter advances but before the block's effects, so
-           the aborted superstep is the one the injector's clock names. *)
-        match Pc_jit.step ?sched ?engine ?instrument ~sink ?max_steps exe with
-        | true ->
-          if interval > 0 && Pc_jit.steps exe mod interval = 0 then latest := capture ();
-          loop ()
-        | false -> ()
-        | exception Fault.Injected _ ->
-          let completed = max 0 (Pc_jit.steps exe - 1) in
-          restore !latest;
-          tl.t_restores <- tl.t_restores + 1;
-          tl.t_wasted <- tl.t_wasted + max 0 (completed - Pc_jit.steps exe);
-          loop ()
-      in
-      loop ());
-  (Pc_jit.outputs exe, finish tl inj ~useful:(Pc_jit.steps exe))
+  let steps () = Pc_jit.steps exe in
+  drive ~inj ~interval ~sink:user_sink ~engine ~explicit_tick:false
+    {
+      (* The executor's [Step] event carries the tick: it fires after the
+         step counter advances but before the block's effects, so the
+         aborted superstep is the one the injector's clock names. *)
+      step = (fun () -> Pc_jit.step ?sched ?engine ?instrument ~sink ?max_steps exe);
+      position = steps;
+      work = steps;
+      capture =
+        (fun () ->
+          Snapshot.encode_jit
+            {
+              Snapshot.ck_vm = Pc_jit.capture exe;
+              ck_engine = Option.map Engine.snapshot engine;
+              ck_instrument = Option.map Instrument.capture instrument;
+            });
+      restore =
+        (fun _ blob ->
+          let ck = Snapshot.decode_jit blob in
+          Pc_jit.restore exe ck.Snapshot.ck_vm;
+          restore_extras ~engine ~instrument ck);
+      result = (fun () -> Pc_jit.outputs exe);
+    }
 
 (* ---- Sharded execution ------------------------------------------------ *)
 
@@ -235,56 +234,42 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
         pool)
       parts
   in
-  let tl = tally () in
-  let capture () =
-    let blob = Snapshot.encode_shards (Array.map Pc_vm.Lanes.capture lanes) in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    blob
-  in
-  let latest = ref (capture ()) in
-  (* A device fault rewinds only the victim shard — its neighbours keep
-     their progress, the definition of localized recovery. *)
-  let restore_shard d =
-    let images = Snapshot.decode_shards !latest in
-    let completed = Pc_vm.Lanes.steps lanes.(d) in
-    Pc_vm.Lanes.restore lanes.(d) images.(d);
-    tl.t_restores <- tl.t_restores + 1;
-    tl.t_wasted <- tl.t_wasted + max 0 (completed - Pc_vm.Lanes.steps lanes.(d))
-  in
   let rounds = ref 0 in
-  let running = ref true in
-  while !running do
-    (match Fault.tick inj with
-    | () ->
-      List.iter
-        (fun (_ : Fault.event) ->
-          (* A dropped link forces the round's collective to retry: one
-             wasted superstep across the mesh, no state lost. *)
-          tl.t_link_retries <- tl.t_link_retries + 1;
-          tl.t_wasted <- tl.t_wasted + 1)
-        (Fault.drops_now inj);
-      let progressed = ref false in
-      Array.iter (fun pool -> if Pc_vm.Lanes.step pool then progressed := true) lanes;
-      if !progressed then begin
-        incr rounds;
-        if interval > 0 && !rounds mod interval = 0 then latest := capture ()
-      end
-      else running := false
-    | exception Fault.Injected e -> restore_shard (e.Fault.device mod n))
-  done;
-  let outputs =
-    match Array.to_list (Array.map Pc_vm.Lanes.outputs lanes) with
-    | [] -> []
-    | first :: _ as per_shard ->
-      List.mapi
-        (fun i _ -> Tensor.concat_rows (List.map (fun outs -> List.nth outs i) per_shard))
-        first
+  let outputs, stats =
+    drive ~inj ~interval ~sink:None ~engine:None ~explicit_tick:true
+      {
+        step =
+          (fun () ->
+            let progressed = ref false in
+            Array.iter
+              (fun pool -> if Pc_vm.Lanes.step pool then progressed := true)
+              lanes;
+            if !progressed then incr rounds;
+            !progressed);
+        position = (fun () -> !rounds);
+        work =
+          (fun () ->
+            Array.fold_left (fun acc pool -> acc + Pc_vm.Lanes.steps pool) 0 lanes);
+        capture =
+          (fun () -> Snapshot.encode_shards (Array.map Pc_vm.Lanes.capture lanes));
+        (* A device fault rewinds only the victim shard — its neighbours
+           keep their progress, the definition of localized recovery. *)
+        restore =
+          (fun ev blob ->
+            let d = ev.Fault.device mod n in
+            Pc_vm.Lanes.restore lanes.(d) (Snapshot.decode_shards blob).(d));
+        result =
+          (fun () ->
+            match Array.to_list (Array.map Pc_vm.Lanes.outputs lanes) with
+            | [] -> []
+            | first :: _ as per_shard ->
+              List.mapi
+                (fun i _ ->
+                  Tensor.concat_rows (List.map (fun outs -> List.nth outs i) per_shard))
+                first);
+      }
   in
-  let useful =
-    Array.fold_left (fun acc pool -> acc + Pc_vm.Lanes.steps pool) 0 lanes
-  in
-  { sh_outputs = outputs; sh_rounds = !rounds; sh_stats = finish tl inj ~useful }
+  { sh_outputs = outputs; sh_rounds = !rounds; sh_stats = stats }
 
 (* ---- Continuous-batching server --------------------------------------- *)
 
@@ -300,36 +285,26 @@ let run_server ?(config = Server.default_config) ?on_complete ?(interval = 0)
     }
   in
   let server = Server.create ~config ?on_complete ~program arrivals in
-  let tl = tally () in
-  let rounds = ref 0 in
-  let ckpt_round = ref 0 in
-  let capture () =
-    let blob = Snapshot.encode_server (Server.capture server) in
-    tl.t_checkpoints <- tl.t_checkpoints + 1;
-    tl.t_bytes <- tl.t_bytes + String.length blob;
-    notify user_sink
-      (Obs_sink.Checkpoint { step = !rounds; bytes = String.length blob });
-    blob
-  in
-  let latest = ref (capture ()) in
-  with_engine_sink config.Server.vm.Pc_vm.engine inj (fun () ->
-      let rec loop () =
-        match Server.step server with
-        | true ->
-          incr rounds;
-          if interval > 0 && !rounds mod interval = 0 then begin
-            latest := capture ();
-            ckpt_round := !rounds
-          end;
-          loop ()
-        | false -> ()
-        | exception Fault.Injected _ ->
-          Server.restore server (Snapshot.decode_server !latest);
-          tl.t_restores <- tl.t_restores + 1;
-          tl.t_wasted <- tl.t_wasted + max 0 (!rounds - !ckpt_round);
-          rounds := !ckpt_round;
-          notify user_sink (Obs_sink.Restore { step = !rounds });
-          loop ()
-      in
-      loop ());
-  (Server.stats server, finish tl inj ~useful:!rounds)
+  (* Server supersteps are counted here; a restore rewinds the count to
+     the checkpoint's. *)
+  let rounds = ref 0 and ckpt_round = ref 0 in
+  drive ~inj ~interval ~sink:user_sink ~engine:config.Server.vm.Pc_vm.engine
+    ~explicit_tick:false
+    {
+      step =
+        (fun () ->
+          let more = Server.step server in
+          if more then incr rounds;
+          more);
+      position = (fun () -> !rounds);
+      work = (fun () -> !rounds);
+      capture =
+        (fun () ->
+          ckpt_round := !rounds;
+          Snapshot.encode_server (Server.capture server));
+      restore =
+        (fun _ blob ->
+          Server.restore server (Snapshot.decode_server blob);
+          rounds := !ckpt_round);
+      result = (fun () -> Server.stats server);
+    }

@@ -3,9 +3,12 @@
     Each [run_*] below executes a workload under a fault {!Fault.injector}
     while checkpointing every [interval] supersteps through {!Snapshot}
     (a genuine serialization round trip: every restore {e decodes} the
-    stored blob). Because all state the execution depends on — stacks,
-    storage, scheduler cursors, RNG counters, engine tallies — lives in
-    the checkpoint, a faulted-and-recovered run produces output bitwise
+    stored blob). The four entry points are thin: one recovery loop owns
+    the checkpoint cadence, the fault handling, the [Checkpoint]/[Restore]
+    notifications and the wasted-work accounting for all of them.
+    Because all state the execution depends on — stacks, storage,
+    scheduler cursors, RNG counters, engine tallies — lives in the
+    checkpoint, a faulted-and-recovered run produces output bitwise
     identical to the fault-free run, and its engine/instrument state
     reports true cumulative cost from time zero.
 

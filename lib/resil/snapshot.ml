@@ -337,27 +337,23 @@ let r_request r : Request.image =
   let ri_parent = Codec.r_int r in
   { Request.ri_id; ri_inputs; ri_member; ri_arrival; ri_cost_hint; ri_trace; ri_parent }
 
-let w_lane_manager b (img : Lane_manager.image) =
-  w_lanes b img.Lane_manager.mi_vm;
+(* A server's in-flight requests, each with its lanes and start time. *)
+let w_flight b =
   Codec.w_list
     (fun b (req, lanes, started) ->
       w_request b req;
       Codec.w_int_array b lanes;
       Codec.w_float b started)
-    b img.Lane_manager.mi_flight
+    b
 
-let r_lane_manager r : Lane_manager.image =
-  let mi_vm = r_lanes r in
-  let mi_flight =
-    Codec.r_list
-      (fun r ->
-        let req = r_request r in
-        let lanes = Codec.r_int_array r in
-        let started = Codec.r_float r in
-        (req, lanes, started))
-      r
-  in
-  { Lane_manager.mi_vm; mi_flight }
+let r_flight r =
+  Codec.r_list
+    (fun r ->
+      let req = r_request r in
+      let lanes = Codec.r_int_array r in
+      let started = Codec.r_float r in
+      (req, lanes, started))
+    r
 
 let w_completion b (c : Server.completion_image) =
   w_request b c.Server.ci_request;
@@ -384,7 +380,8 @@ let w_server b (img : Server.image) =
   Codec.w_list w_request b img.Server.si_shed;
   Codec.w_list w_request b img.Server.si_rejected;
   Codec.w_list w_completion b img.Server.si_completions;
-  w_lane_manager b img.Server.si_lm;
+  w_lanes b img.Server.si_vm;
+  w_flight b img.Server.si_flight;
   Codec.w_option w_engine b img.Server.si_engine;
   w_instrument b img.Server.si_instrument
 
@@ -398,7 +395,8 @@ let r_server r : Server.image =
   let si_shed = Codec.r_list r_request r in
   let si_rejected = Codec.r_list r_request r in
   let si_completions = Codec.r_list r_completion r in
-  let si_lm = r_lane_manager r in
+  let si_vm = r_lanes r in
+  let si_flight = r_flight r in
   let si_engine = Codec.r_option r_engine r in
   let si_instrument = r_instrument r in
   {
@@ -411,7 +409,8 @@ let r_server r : Server.image =
     si_shed;
     si_rejected;
     si_completions;
-    si_lm;
+    si_vm;
+    si_flight;
     si_engine;
     si_instrument;
   }

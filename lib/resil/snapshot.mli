@@ -57,8 +57,6 @@ val w_instrument : Buffer.t -> Instrument.image -> unit
 val r_instrument : Codec.reader -> Instrument.image
 val w_request : Buffer.t -> Request.image -> unit
 val r_request : Codec.reader -> Request.image
-val w_lane_manager : Buffer.t -> Lane_manager.image -> unit
-val r_lane_manager : Codec.reader -> Lane_manager.image
 val w_server : Buffer.t -> Server.image -> unit
 val r_server : Codec.reader -> Server.image
 

@@ -60,13 +60,16 @@ let rec insert_sorted r = function
    so a resilience layer can checkpoint between supersteps and a driver
    can interleave other work. [run] below is the classic run-to-drain
    entry point, a thin loop over [step]. *)
+type in_flight = { req : Request.t; lanes : int array; started : float }
+
 type t = {
   config : config;
   program : Autobatch.compiled;
   on_complete : (record -> Request.t option) option;
   ins : Instrument.t;
   engine : Engine.t option;
-  lm : Lane_manager.t;
+  pool : Lane_group.pool;
+  mutable flight : in_flight list;     (* admission order *)
   queue : Request_queue.t;
   mutable now : float;
   mutable pending : Request.t list;    (* arrival order *)
@@ -94,7 +97,10 @@ let create ?(config = default_config) ?on_complete ~program arrivals =
     on_complete;
     ins;
     engine;
-    lm = Lane_manager.create ~config:vm_config ~program ~lanes:config.lanes ();
+    pool =
+      Lane_group.create ~shard:0 ~config:vm_config program.Autobatch.registry
+        program.Autobatch.stack ~z:config.lanes;
+    flight = [];
     queue = Request_queue.create ~depth:config.queue_depth ~shed:config.shed ();
     now = 0.;
     pending = List.stable_sort compare_arrival arrivals;
@@ -116,11 +122,13 @@ let emit t ev =
    (mid-run); the synchronous baseline waits for the whole batch to drain
    before admitting again — the paper's fixed-batch regime. *)
 let refill t =
-  let fits r = Lane_manager.fits t.lm r in
+  let fits r = Request.width r <= Pc_vm.Lanes.free_count t.pool.lanes in
   let rec drain pop =
     match pop ~fits with
     | Some r ->
-      Lane_manager.admit t.lm ~now:t.now r;
+      let rows = Array.init (Request.width r) (fun row -> Request.lane_inputs r ~row) in
+      let lanes = Lane_group.admit t.pool ~member:r.Request.member rows in
+      t.flight <- t.flight @ [ { req = r; lanes; started = t.now } ];
       drain pop
     | None -> ()
   in
@@ -128,7 +136,7 @@ let refill t =
   | Fifo -> drain (Request_queue.pop_fifo t.queue)
   | Shortest_first -> drain (Request_queue.pop_shortest t.queue)
   | Synchronous ->
-    if Lane_manager.in_flight t.lm = 0 then drain (Request_queue.pop_fifo t.queue)
+    if t.flight = [] then drain (Request_queue.pop_fifo t.queue)
 
 (* Move every request whose arrival time has passed into the bounded
    queue, one at a time with a refill in between — so a free lane is
@@ -171,16 +179,22 @@ let sync_clock t =
   t.now <- t.now +. (e -. t.last_elapsed);
   t.last_elapsed <- e
 
-let complete t cs =
+(* Retire every request whose lanes have all halted. *)
+let complete t =
+  let finished, running =
+    List.partition (fun f -> Lane_group.finished t.pool f.lanes) t.flight
+  in
+  t.flight <- running;
+  let finished = List.map (fun f -> (f, Lane_group.retire t.pool f.lanes)) finished in
   List.iter
-    (fun (c : Lane_manager.completion) ->
+    (fun (f, outputs) ->
       let r =
         {
-          request = c.Lane_manager.request;
-          outputs = c.Lane_manager.outputs;
-          queued = c.Lane_manager.request.Request.arrival;
-          started = c.Lane_manager.started;
-          finished = c.Lane_manager.finished;
+          request = f.req;
+          outputs;
+          queued = f.req.Request.arrival;
+          started = f.started;
+          finished = t.now;
         }
       in
       t.completions <- r :: t.completions;
@@ -203,22 +217,22 @@ let complete t cs =
             else { next with Request.arrival = t.now }
           in
           t.pending <- insert_sorted next t.pending))
-    cs
+    finished
 
 let step t =
   admit_due t;
   refill t;
-  if Lane_manager.live_lanes t.lm > 0 then begin
-    ignore (Lane_manager.step t.lm);
+  if Pc_vm.Lanes.live_count t.pool.Lane_group.lanes > 0 then begin
+    ignore (Pc_vm.Lanes.step t.pool.Lane_group.lanes);
     (match t.engine with
     | Some _ -> sync_clock t
     | None -> t.now <- t.now +. 1.0);
-    complete t (Lane_manager.poll t.lm ~now:t.now);
+    complete t;
     true
   end
-  else if Lane_manager.in_flight t.lm > 0 then begin
+  else if t.flight <> [] then begin
     (* every occupied lane has halted but the groups are still loaded *)
-    complete t (Lane_manager.poll t.lm ~now:t.now);
+    complete t;
     true
   end
   else
@@ -236,7 +250,7 @@ let stats t =
     completions = List.rev t.completions;
     shed = List.rev t.shed;
     rejected = List.rev t.rejected;
-    steps = Lane_manager.steps t.lm;
+    steps = Pc_vm.Lanes.steps t.pool.Lane_group.lanes;
     idle_steps = t.idle_steps;
     makespan = t.now;
     mean_occupancy = Instrument.mean_occupancy t.ins;
@@ -269,7 +283,8 @@ type image = {
   si_shed : Request.image list;
   si_rejected : Request.image list;
   si_completions : completion_image list;
-  si_lm : Lane_manager.image;
+  si_vm : Pc_vm.Lanes.image;
+  si_flight : (Request.image * int array * float) list;
   si_engine : Engine.snapshot option;
   si_instrument : Instrument.image;
 }
@@ -297,7 +312,9 @@ let capture t =
             ci_finished = r.finished;
           })
         t.completions;
-    si_lm = Lane_manager.capture t.lm;
+    si_vm = Pc_vm.Lanes.capture t.pool.Lane_group.lanes;
+    si_flight =
+      List.map (fun f -> (Request.to_image f.req, Array.copy f.lanes, f.started)) t.flight;
     si_engine = Option.map Engine.snapshot t.engine;
     si_instrument = Instrument.capture t.ins;
   }
@@ -329,5 +346,9 @@ let restore t img =
           finished = ci.ci_finished;
         })
       img.si_completions;
-  Lane_manager.restore t.lm ~program:t.program img.si_lm;
+  Pc_vm.Lanes.restore t.pool.Lane_group.lanes img.si_vm;
+  t.flight <-
+    List.map
+      (fun (ri, lanes, started) -> { req = of_image ri; lanes = Array.copy lanes; started })
+      img.si_flight;
   Instrument.restore t.ins img.si_instrument

@@ -1,6 +1,7 @@
 (** Continuous-batching request server.
 
-    Drives one {!Lane_manager} pool through the program-counter VM's
+    Drives one {!Pc_vm.Lanes} pool (bound to requests through
+    {!Lane_group}) through the program-counter VM's
     superstep loop, streaming requests through recyclable lanes: each
     superstep admits every due arrival into a bounded {!Request_queue},
     refills freed lanes per the admission policy, executes one scheduled
@@ -123,8 +124,8 @@ type completion_image = {
     trace (including requests injected by [on_complete]), bounded queue,
     shed/rejected/completed records, the lane pool, and the engine and
     instrument snapshots. Request/record lists are in internal (newest
-    first) order except [si_pending] and [si_queue], which are oldest
-    first. *)
+    first) order except [si_pending], [si_queue] and [si_flight], which
+    are oldest first. *)
 type image = {
   si_now : float;
   si_last_elapsed : float;
@@ -135,7 +136,10 @@ type image = {
   si_shed : Request.image list;
   si_rejected : Request.image list;
   si_completions : completion_image list;
-  si_lm : Lane_manager.image;
+  si_vm : Pc_vm.Lanes.image;  (** the lane pool *)
+  si_flight : (Request.image * int array * float) list;
+      (** in-flight requests in admission order, with their lanes and
+          start times *)
   si_engine : Engine.snapshot option;
   si_instrument : Instrument.image;
 }

@@ -128,7 +128,7 @@ type ckpt = {
 type binding = {
   b_digest : int64;
   b_program : Autobatch.compiled;
-  b_lanes : Pc_vm.Lanes.t;
+  b_pool : Lane_group.pool;
   mutable b_flight : flight list;  (* admission order *)
   mutable b_draining : bool;
   mutable b_ckpt : ckpt;
@@ -143,9 +143,6 @@ type shard = {
   s_engine : Engine.t;
   mutable s_b : binding option;
 }
-
-let bytes_of outputs =
-  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. outputs
 
 let run ?config src =
   let cfg =
@@ -274,7 +271,7 @@ let run ?config src =
     Array.fold_left
       (fun acc s ->
         match s.s_b with
-        | Some b when not b.b_draining -> acc + Pc_vm.Lanes.live_count b.b_lanes
+        | Some b when not b.b_draining -> acc + Pc_vm.Lanes.live_count b.b_pool.lanes
         | _ -> acc)
       0 shards
   in
@@ -283,19 +280,9 @@ let run ?config src =
   in
 
   (* ---------- checkpoints and recovery ---------- *)
-  let ckpt_bytes b =
-    let total = ref 64. in
-    for lane = 0 to z - 1 do
-      if Pc_vm.Lanes.occupied b.b_lanes ~lane then
-        total :=
-          !total
-          +. Pc_vm.Lanes.lane_state_bytes (Pc_vm.Lanes.export_lane b.b_lanes ~lane)
-    done;
-    !total
-  in
   let capture_ckpt s b =
     {
-      k_image = Pc_vm.Lanes.capture b.b_lanes;
+      k_image = Pc_vm.Lanes.capture b.b_pool.lanes;
       k_engine = Engine.snapshot s.s_engine;
       k_flight = List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_flight;
       k_draining = b.b_draining;
@@ -321,7 +308,10 @@ let run ?config src =
     b.b_force_ckpt <- false;
     incr checkpoints;
     ops_span "checkpoint";
-    emit (Obs_sink.Checkpoint { step = !round; bytes = int_of_float (ckpt_bytes b) })
+    (* A fixed 64-byte header plus every occupied lane's state, read off
+       the image just taken, so no lane is copied. *)
+    let bytes = 64. +. Lane_group.occupied_bytes b.b_ckpt.k_image in
+    emit (Obs_sink.Checkpoint { step = !round; bytes = int_of_float bytes })
   in
   let restore_shard s b =
     (* Work admitted after the checkpoint goes back to the queue head in
@@ -331,7 +321,7 @@ let run ?config src =
     List.iter (Admission.push_front adm) (List.rev requeue);
     b.b_admitted_since <- [];
     b.b_done_since <- [];
-    Pc_vm.Lanes.restore b.b_lanes b.b_ckpt.k_image;
+    Pc_vm.Lanes.restore b.b_pool.lanes b.b_ckpt.k_image;
     Engine.restore s.s_engine b.b_ckpt.k_engine;
     b.b_flight <-
       List.map (fun f -> { f with f_lanes = Array.copy f.f_lanes }) b.b_ckpt.k_flight;
@@ -354,20 +344,20 @@ let run ?config src =
         sink = Option.map (Obs_sink.tag_shard s.s_id) cfg.sink;
       }
     in
-    let lanes =
-      Pc_vm.Lanes.create ~config:vm_config program.Autobatch.registry
+    let pool =
+      Lane_group.create ~shard:s.s_id ~config:vm_config program.Autobatch.registry
         program.Autobatch.stack ~z
     in
     let b =
       {
         b_digest = digest;
         b_program = program;
-        b_lanes = lanes;
+        b_pool = pool;
         b_flight = [];
         b_draining = false;
         b_ckpt =
           {
-            k_image = Pc_vm.Lanes.capture lanes;
+            k_image = Pc_vm.Lanes.capture pool.lanes;
             k_engine = Engine.snapshot s.s_engine;
             k_flight = [];
             k_draining = false;
@@ -438,29 +428,13 @@ let run ?config src =
 
   (* ---------- retire ---------- *)
   let retire_shard s b =
-    let finished, rest =
-      List.partition
-        (fun f ->
-          Array.for_all (fun lane -> Pc_vm.Lanes.finished b.b_lanes ~lane) f.f_lanes)
-        b.b_flight
+    let finished, running =
+      List.partition (fun f -> Lane_group.finished b.b_pool f.f_lanes) b.b_flight
     in
-    b.b_flight <- rest;
+    b.b_flight <- running;
     List.iter
       (fun f ->
-        let per_lane =
-          Array.map
-            (fun lane ->
-              let outs = Pc_vm.Lanes.retire b.b_lanes ~lane in
-              Engine.charge_retire s.s_engine ~bytes:(bytes_of outs);
-              outs)
-            f.f_lanes
-        in
-        let outputs =
-          let n_outputs = List.length per_lane.(0) in
-          List.init n_outputs (fun j ->
-              Tensor.stack_rows
-                (Array.to_list (Array.map (fun outs -> List.nth outs j) per_lane)))
-        in
+        let outputs = Lane_group.retire b.b_pool f.f_lanes in
         let r = f.f_item.Admission.request in
         let c =
           {
@@ -534,7 +508,7 @@ let run ?config src =
         (fun acc s ->
           match s.s_b with
           | Some b when (not b.b_draining) && b.b_digest = digest ->
-            acc + Pc_vm.Lanes.free_count b.b_lanes
+            acc + Pc_vm.Lanes.free_count b.b_pool.lanes
           | _ -> acc)
         0 shards
     in
@@ -549,39 +523,34 @@ let run ?config src =
   in
 
   (* ---------- admission to lanes ---------- *)
-  let start_flight s b (it : Admission.item) ~started ~preempted =
+  (* Flights keep admission order: new, resumed and migrated work joins
+     at the back. *)
+  let add_flight b f = b.b_flight <- b.b_flight @ [ f ] in
+  let start_flight b (it : Admission.item) =
     let r = it.Admission.request in
-    let w = Request.width r in
-    let free =
-      Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane))
-    in
-    let lanes =
-      match Sched_plan.choose_lanes ~free ~width:w with
-      | Some lanes -> lanes
-      | None -> invalid_arg "Tenant_server: refill chose a full shard"
-    in
-    Array.iteri
-      (fun i lane ->
-        let inputs = Request.lane_inputs r ~row:i in
-        Pc_vm.Lanes.load b.b_lanes ~lane ~member:(r.Request.member + i) ~inputs;
-        Engine.charge_refill s.s_engine ~bytes:(bytes_of inputs))
-      lanes;
-    b.b_flight <-
-      b.b_flight
-      @ [
-          {
-            f_item = it;
-            f_lanes = lanes;
-            f_started = started;
-            f_preempted = preempted;
-            f_marks = [];
-          };
-        ]
+    let rows = Array.init (Request.width r) (fun row -> Request.lane_inputs r ~row) in
+    let lanes = Lane_group.admit b.b_pool ~member:r.Request.member rows in
+    add_flight b
+      { f_item = it; f_lanes = lanes; f_started = !now; f_preempted = 0; f_marks = [] };
+    b.b_admitted_since <- it :: b.b_admitted_since
   in
-  let refill_shard s b =
+  (* The first serving shard bound to [digest] with [width] free lanes. *)
+  let host_for digest width =
+    Array.find_map
+      (fun s ->
+        match s.s_b with
+        | Some b
+          when (not b.b_draining)
+               && b.b_digest = digest
+               && Pc_vm.Lanes.free_count b.b_pool.lanes >= width ->
+          Some (s, b)
+        | _ -> None)
+      shards
+  in
+  let refill_shard b =
     let continue = ref true in
     while !continue do
-      let free = Pc_vm.Lanes.free_count b.b_lanes in
+      let free = Pc_vm.Lanes.free_count b.b_pool.lanes in
       if free = 0 then continue := false
       else
         match
@@ -589,9 +558,7 @@ let run ?config src =
               it.Admission.digest = b.b_digest
               && Request.width it.Admission.request <= free)
         with
-        | Some it ->
-          start_flight s b it ~started:!now ~preempted:0;
-          b.b_admitted_since <- it :: b.b_admitted_since
+        | Some it -> start_flight b it
         | None -> continue := false
     done
   in
@@ -599,22 +566,14 @@ let run ?config src =
     Array.iter
       (fun s ->
         match s.s_b with
-        | Some b when not b.b_draining -> refill_shard s b
+        | Some b when not b.b_draining -> refill_shard b
         | _ -> ())
       shards
   in
 
   (* ---------- preemption ---------- *)
   let park s b f =
-    let states =
-      Array.map (fun lane -> Pc_vm.Lanes.export_lane b.b_lanes ~lane) f.f_lanes
-    in
-    Array.iter (fun lane -> Pc_vm.Lanes.evict b.b_lanes ~lane) f.f_lanes;
-    let bytes =
-      Array.fold_left
-        (fun acc st -> acc +. Pc_vm.Lanes.lane_state_bytes st)
-        0. states
-    in
+    let states, bytes = Lane_group.park b.b_pool f.f_lanes in
     Engine.charge_transfer s.s_engine ~name:"preempt-park" ~bytes ~seconds:0.;
     b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
     b.b_force_ckpt <- true;
@@ -644,7 +603,7 @@ let run ?config src =
       else
         match shards.(i).s_b with
         | Some b when (not b.b_draining) && b.b_digest = it.Admission.digest ->
-          let free = Pc_vm.Lanes.free_count b.b_lanes in
+          let free = Pc_vm.Lanes.free_count b.b_pool.lanes in
           if free >= width then Some (shards.(i), b, [])
           else begin
             let candidates =
@@ -689,8 +648,7 @@ let run ?config src =
             in
             (match popped with
             | Some it' ->
-              start_flight s b it' ~started:!now ~preempted:0;
-              b.b_admitted_since <- it' :: b.b_admitted_since;
+              start_flight b it';
               b.b_force_ckpt <- true
             | None -> assert false)
           | None -> continue := false)
@@ -712,70 +670,34 @@ let run ?config src =
     in
     List.iter
       (fun p ->
-        let width = Array.length p.p_states in
-        let rec scan i =
-          if i >= n_shards then ()
-          else
-            match shards.(i).s_b with
-            | Some b
-              when (not b.b_draining)
-                   && b.b_digest = p.p_item.Admission.digest
-                   && Pc_vm.Lanes.free_count b.b_lanes >= width ->
-              let s = shards.(i) in
-              let free =
-                Array.init z (fun lane -> not (Pc_vm.Lanes.occupied b.b_lanes ~lane))
-              in
-              let lanes =
-                match Sched_plan.choose_lanes ~free ~width with
-                | Some lanes -> lanes
-                | None -> assert false
-              in
-              let bytes = ref 0. in
-              Array.iteri
-                (fun j lane ->
-                  Pc_vm.Lanes.import_lane b.b_lanes ~lane p.p_states.(j);
-                  bytes := !bytes +. Pc_vm.Lanes.lane_state_bytes p.p_states.(j);
-                  emit
-                    (Obs_sink.Migration
-                       {
-                         src_shard = p.p_from;
-                         dst_shard = s.s_id;
-                         member = p.p_states.(j).Pc_vm.Lanes.ls_member;
-                         bytes = Pc_vm.Lanes.lane_state_bytes p.p_states.(j);
-                         step = !round;
-                       }))
-                lanes;
-              let seconds =
-                if p.p_from = s.s_id then 0.
-                else Collectives.p2p_time cfg.mesh ~bytes:!bytes
-              in
-              Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes:!bytes
-                ~seconds;
-              (* The park→resume interval becomes a "preempted" mark on
-                 the request's service span; a cross-shard resume adds a
-                 "migrate" instant. *)
-              let marks =
-                let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
-                if p.p_from = s.s_id then preempted
-                else ("migrate", !now, !now) :: preempted
-              in
-              b.b_flight <-
-                b.b_flight
-                @ [
-                    {
-                      f_item = p.p_item;
-                      f_lanes = lanes;
-                      f_started = p.p_started;
-                      f_preempted = p.p_preempted;
-                      f_marks = marks;
-                    };
-                  ];
-              b.b_force_ckpt <- true;
-              parked := List.filter (fun q -> q != p) !parked;
-              incr resumes
-            | _ -> scan (i + 1)
-        in
-        scan 0)
+        match host_for p.p_item.Admission.digest (Array.length p.p_states) with
+        | None -> ()
+        | Some (s, b) ->
+          let lanes, bytes =
+            Lane_group.resume ~sink:cfg.sink ~step:!round ~from:p.p_from b.b_pool p.p_states
+          in
+          let seconds =
+            if p.p_from = s.s_id then 0. else Collectives.p2p_time cfg.mesh ~bytes
+          in
+          Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes ~seconds;
+          (* The park→resume interval becomes a "preempted" mark on the
+             request's service span; a cross-shard resume adds a
+             "migrate" instant. *)
+          let marks =
+            let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
+            if p.p_from = s.s_id then preempted else ("migrate", !now, !now) :: preempted
+          in
+          add_flight b
+            {
+              f_item = p.p_item;
+              f_lanes = lanes;
+              f_started = p.p_started;
+              f_preempted = p.p_preempted;
+              f_marks = marks;
+            };
+          b.b_force_ckpt <- true;
+          parked := List.filter (fun q -> q != p) !parked;
+          incr resumes)
       order
   in
 
@@ -808,7 +730,7 @@ let run ?config src =
           (fun s ->
             match s.s_b with
             | Some b when not b.b_draining ->
-              let live = Pc_vm.Lanes.live_count b.b_lanes in
+              let live = Pc_vm.Lanes.live_count b.b_pool.lanes in
               (match !victim with
               | Some (_, best) when best < live -> ()
               | _ -> victim := Some (s, live))
@@ -840,66 +762,25 @@ let run ?config src =
           else
             List.iter
               (fun f ->
-                let width = Array.length f.f_lanes in
-                let rec scan i =
-                  if i >= n_shards then ()
-                  else
-                    match shards.(i).s_b with
-                    | Some tb
-                      when (not tb.b_draining)
-                           && tb.b_digest = b.b_digest
-                           && Pc_vm.Lanes.free_count tb.b_lanes >= width ->
-                      let t = shards.(i) in
-                      let free =
-                        Array.init z (fun lane ->
-                            not (Pc_vm.Lanes.occupied tb.b_lanes ~lane))
-                      in
-                      let lanes =
-                        match Sched_plan.choose_lanes ~free ~width with
-                        | Some lanes -> lanes
-                        | None -> assert false
-                      in
-                      let bytes = ref 0. in
-                      Array.iteri
-                        (fun j dst ->
-                          let src = f.f_lanes.(j) in
-                          let st = Pc_vm.Lanes.export_lane b.b_lanes ~lane:src in
-                          Pc_vm.Lanes.evict b.b_lanes ~lane:src;
-                          Pc_vm.Lanes.import_lane tb.b_lanes ~lane:dst st;
-                          let sb = Pc_vm.Lanes.lane_state_bytes st in
-                          bytes := !bytes +. sb;
-                          incr migrations;
-                          migration_bytes := !migration_bytes +. sb;
-                          emit
-                            (Obs_sink.Migration
-                               {
-                                 src_shard = s.s_id;
-                                 dst_shard = t.s_id;
-                                 member = st.Pc_vm.Lanes.ls_member;
-                                 bytes = sb;
-                                 step = !round;
-                               }))
-                        lanes;
-                      let seconds = Collectives.p2p_time cfg.mesh ~bytes:!bytes in
-                      Engine.charge_transfer t.s_engine ~name:"drain-migrate"
-                        ~bytes:!bytes ~seconds;
-                      b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
-                      tb.b_flight <-
-                        tb.b_flight
-                        @ [
-                            {
-                              f_item = f.f_item;
-                              f_lanes = lanes;
-                              f_started = f.f_started;
-                              f_preempted = f.f_preempted;
-                              f_marks = ("migrate", !now, !now) :: f.f_marks;
-                            };
-                          ];
-                      b.b_force_ckpt <- true;
-                      tb.b_force_ckpt <- true
-                    | _ -> scan (i + 1)
-                in
-                scan 0)
+                match host_for b.b_digest (Array.length f.f_lanes) with
+                | None -> ()
+                | Some (t, tb) ->
+                  let lanes, bytes =
+                    Lane_group.move ~sink:cfg.sink ~step:!round b.b_pool f.f_lanes tb.b_pool
+                  in
+                  migrations := !migrations + Array.length lanes;
+                  migration_bytes := !migration_bytes +. bytes;
+                  let seconds = Collectives.p2p_time cfg.mesh ~bytes in
+                  Engine.charge_transfer t.s_engine ~name:"drain-migrate" ~bytes ~seconds;
+                  b.b_flight <- List.filter (fun g -> g != f) b.b_flight;
+                  add_flight tb
+                    {
+                      f with
+                      f_lanes = lanes;
+                      f_marks = ("migrate", !now, !now) :: f.f_marks;
+                    };
+                  b.b_force_ckpt <- true;
+                  tb.b_force_ckpt <- true)
               b.b_flight;
           (match s.s_b with
           | Some b when b.b_draining && b.b_flight = [] -> unbind s b
@@ -988,7 +869,7 @@ let run ?config src =
                         Printf.sprintf
                           "shard %d digest %Lx flights %d live %d%s" s.s_id
                           b.b_digest (List.length b.b_flight)
-                          (Pc_vm.Lanes.live_count b.b_lanes)
+                          (Pc_vm.Lanes.live_count b.b_pool.lanes)
                           (if b.b_draining then " draining" else ""))
                     shards))));
     let e0 = Array.map (fun s -> Engine.elapsed s.s_engine) shards in
@@ -1011,8 +892,8 @@ let run ?config src =
     Array.iter
       (fun s ->
         match s.s_b with
-        | Some b when Pc_vm.Lanes.live_count b.b_lanes > 0 ->
-          ignore (Pc_vm.Lanes.step b.b_lanes)
+        | Some b when Pc_vm.Lanes.live_count b.b_pool.lanes > 0 ->
+          ignore (Pc_vm.Lanes.step b.b_pool.lanes)
         | _ -> ())
       shards;
     (try Fault.tick injector

@@ -16,11 +16,12 @@
       {!Collectives.p2p_time} transfers;
     + rebind empty shards toward the neediest digest and bind idle
       shards on demand up to the controller's target;
-    + refill free lanes from admission (weighted-fair pop, one shared
-      lane-selection path via {!Sched_plan.choose_lanes});
+    + refill free lanes from admission (weighted-fair pop; lanes are
+      bound through {!Lane_group}, the request-to-lane layer shared with
+      the other servers);
     + preempt: when a latency-bound head cannot start, export the lanes
       of the weakest, most-recently-started victim flights
-      ({!Pc_vm.Lanes.export_lane}), park them, and start the head in the
+      ({!Lane_group.park}), park them, and start the head in the
       freed lanes; parked jobs re-import later and continue
       bitwise-exactly — the RNG keys on (seed, member, counter), never
       on lane, shard, or wall time;

@@ -55,9 +55,6 @@ let batch_size batch =
       batch;
     n
 
-let bytes_of ts =
-  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. ts
-
 let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
   let n = batch_size batch in
   if config.lanes <= 0 then
@@ -93,7 +90,7 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
             sink;
           }
         in
-        Pc_vm.Lanes.create ~config:pool_config reg p ~z)
+        Lane_group.create ~shard:i ~config:pool_config reg p ~z)
   in
   let queue = Queue.create () in
   for m = 0 to n - 1 do
@@ -106,29 +103,25 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
   let rounds = ref 0 in
   let drained () =
     Queue.is_empty queue
-    && Array.for_all (fun pool -> Pc_vm.Lanes.free_count pool = z) pools
+    && Array.for_all (fun pool -> Pc_vm.Lanes.free_count pool.Lane_group.lanes = z) pools
   in
   while not (drained ()) do
     incr rounds;
     let activity = ref false in
     (* Retire: finished lanes free up before the planner looks. *)
-    Array.iteri
-      (fun s pool ->
+    Array.iter
+      (fun pool ->
         List.iter
           (fun lane ->
-            let m = Pc_vm.Lanes.member pool ~lane in
-            let outs = Pc_vm.Lanes.retire pool ~lane in
-            Option.iter
-              (fun e -> Engine.charge_retire e ~bytes:(bytes_of outs))
-              engines.(s);
-            outputs.(m) <- Some outs;
+            let m = Pc_vm.Lanes.member pool.Lane_group.lanes ~lane in
+            outputs.(m) <- Some (Lane_group.retire pool [| lane |]);
             activity := true)
-          (Pc_vm.Lanes.finished_lanes pool))
+          (Pc_vm.Lanes.finished_lanes pool.Lane_group.lanes))
       pools;
     (* Plan against the post-retire occupancy. *)
     let views =
       Array.map
-        (fun pool ->
+        (fun { Lane_group.lanes = pool; _ } ->
           let free = ref [] and live = ref [] in
           for lane = z - 1 downto 0 do
             if Pc_vm.Lanes.live pool ~lane then live := lane :: !live
@@ -141,28 +134,25 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
     let plan =
       Sched_plan.plan config.plan ~pending:(Queue.length queue) ~views
     in
+    (* The planner targets the lowest free lane of a shard, as the
+       binding layer's lane choice does; the asserts pin that agreement. *)
     List.iter
       (fun { Sched_plan.r_shard; r_lane } ->
         match Queue.take_opt queue with
         | None -> ()
         | Some m ->
-          let inputs = member_inputs m in
-          Pc_vm.Lanes.load pools.(r_shard) ~lane:r_lane ~member:m ~inputs;
-          Option.iter
-            (fun e -> Engine.charge_refill e ~bytes:(bytes_of inputs))
-            engines.(r_shard);
+          let lanes = Lane_group.admit pools.(r_shard) ~member:m [| member_inputs m |] in
+          assert (lanes = [| r_lane |]);
           incr refills;
           activity := true)
       plan.Sched_plan.refills;
     List.iter
-      (fun move ->
-        let { Sched_plan.m_src_shard; m_src_lane; m_dst_shard; m_dst_lane } =
-          move
+      (fun { Sched_plan.m_src_shard; m_src_lane; m_dst_shard; m_dst_lane } ->
+        let lanes, bytes =
+          Lane_group.move ~sink:config.sink ~step:!rounds pools.(m_src_shard)
+            [| m_src_lane |] pools.(m_dst_shard)
         in
-        let state = Pc_vm.Lanes.export_lane pools.(m_src_shard) ~lane:m_src_lane in
-        Pc_vm.Lanes.evict pools.(m_src_shard) ~lane:m_src_lane;
-        Pc_vm.Lanes.import_lane pools.(m_dst_shard) ~lane:m_dst_lane state;
-        let bytes = Pc_vm.Lanes.lane_state_bytes state in
+        assert (lanes = [| m_dst_lane |]);
         incr migrations;
         migration_bytes := !migration_bytes +. bytes;
         if m_src_shard = m_dst_shard then
@@ -177,23 +167,11 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
               Engine.charge_transfer e ~name:"steal-transfer" ~bytes ~seconds)
             engines.(m_dst_shard)
         end;
-        (match config.sink with
-        | None -> ()
-        | Some sink ->
-          sink
-            (Obs_sink.Migration
-               {
-                 src_shard = m_src_shard;
-                 dst_shard = m_dst_shard;
-                 member = state.Pc_vm.Lanes.ls_member;
-                 bytes;
-                 step = !rounds;
-               }));
         activity := true)
       plan.Sched_plan.moves;
     (* One scheduled block per shard per round — the SPMD superstep. *)
     Array.iter
-      (fun pool -> if Pc_vm.Lanes.step pool then activity := true)
+      (fun pool -> if Pc_vm.Lanes.step pool.Lane_group.lanes then activity := true)
       pools;
     if not !activity then
       (* Unreachable by construction (finished lanes retire, free lanes
@@ -207,7 +185,7 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
     | Some first ->
       List.mapi
         (fun j _ ->
-          Tensor.stack_rows
+          Tensor.concat_rows
             (List.init n (fun m ->
                  match outputs.(m) with
                  | Some outs -> List.nth outs j
@@ -228,7 +206,9 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
         match e with Some e -> Float.max acc (Engine.elapsed e) | None -> acc)
       0. engines
   in
-  let output_bytes = bytes_of outputs in
+  let output_bytes =
+    List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. outputs
+  in
   let all_reduce_total =
     float_of_int !rounds
     *. Collectives.all_reduce_time config.mesh config.collective
@@ -264,7 +244,10 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
     outputs;
     counters;
     supersteps = !rounds;
-    vm_steps = Array.fold_left (fun acc pool -> acc + Pc_vm.Lanes.steps pool) 0 pools;
+    vm_steps =
+      Array.fold_left
+        (fun acc pool -> acc + Pc_vm.Lanes.steps pool.Lane_group.lanes)
+        0 pools;
     refills = !refills;
     migrations = !migrations;
     steals = !steals;

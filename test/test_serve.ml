@@ -486,6 +486,154 @@ let test_engine_refill_retire_counters () =
   Alcotest.(check int) "refills survive add" 2 sum.Engine.Counters.lane_refills;
   Alcotest.(check int) "retires survive add" 1 sum.Engine.Counters.lane_retires
 
+(* ---------- Lane_group: the request-to-lane binding layer ---------- *)
+
+let bytes_of ts =
+  List.fold_left (fun acc x -> acc +. (8. *. float_of_int (Tensor.numel x))) 0. ts
+
+let rows (r : Request.t) =
+  Array.init (Request.width r) (fun row -> Request.lane_inputs r ~row)
+
+let step_n lanes n =
+  for _ = 1 to n do
+    ignore (Pc_vm.Lanes.step lanes)
+  done
+
+let drain lanes =
+  while Pc_vm.Lanes.step lanes do
+    ()
+  done
+
+(* A width-2 NUTS request is admitted into pool A, stepped, parked,
+   resumed into pool B beside a resident request, stepped, moved back to
+   A, run to halt and retired. The outputs must equal the solo run
+   bitwise, and each engine must carry exactly the charges of the same
+   sequence done on raw pools the way the drivers charged it before the
+   binding layer: one refill per loaded lane (its input bytes), one
+   retire per retired lane (its output bytes), and the callers' own
+   transfers priced at the exported states' summed bytes. *)
+let test_lane_group_round_trip () =
+  let compiled, _, _ = Lazy.force nuts_fixture in
+  let reg = compiled.Autobatch.registry and prog = compiled.Autobatch.stack in
+  let r = nuts_request ~id:1 ~member:40 ~width:2 () in
+  let resident = nuts_request ~id:2 ~member:90 () in
+  let engine () = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  let config e = { Pc_vm.default_config with engine = Some e } in
+  let ea = engine () and eb = engine () in
+  let migrations = ref [] in
+  let sink =
+    Some
+      (function
+      | Obs_sink.Migration { src_shard; dst_shard; member; _ } ->
+        migrations := (src_shard, dst_shard, member) :: !migrations
+      | _ -> ())
+  in
+  let a = Lane_group.create ~shard:0 ~config:(config ea) reg prog ~z:4 in
+  let b = Lane_group.create ~shard:1 ~config:(config eb) reg prog ~z:4 in
+  let group = Lane_group.admit a ~member:r.Request.member (rows r) in
+  Alcotest.(check (array int)) "admitted on the lowest lanes" [| 0; 1 |] group;
+  ignore (Lane_group.admit b ~member:resident.Request.member (rows resident));
+  step_n a.Lane_group.lanes 3;
+  let states, park_bytes = Lane_group.park a group in
+  Alcotest.(check int) "park frees the lanes" 4 (Pc_vm.Lanes.free_count a.lanes);
+  Engine.charge_transfer ea ~name:"preempt-park" ~bytes:park_bytes ~seconds:0.;
+  let group, resume_bytes = Lane_group.resume ~sink ~step:1 ~from:0 b states in
+  Alcotest.(check (array int)) "resumed beside the resident" [| 1; 2 |] group;
+  check_f "resume moves what park exported" park_bytes resume_bytes;
+  Engine.charge_transfer eb ~name:"preempt-resume" ~bytes:resume_bytes ~seconds:0.;
+  step_n b.Lane_group.lanes 2;
+  let group, move_bytes = Lane_group.move ~sink ~step:2 b group a in
+  Alcotest.(check (array int)) "moved back to the lowest lanes" [| 0; 1 |] group;
+  Engine.charge_transfer ea ~name:"drain-migrate" ~bytes:move_bytes ~seconds:0.;
+  drain a.Lane_group.lanes;
+  Alcotest.(check bool) "group halted" true (Lane_group.finished a group);
+  check_outputs "round trip" (solo_reference r) (Lane_group.retire a group);
+  Alcotest.(check (list (triple int int int)))
+    "one migration event per moved lane"
+    [ (0, 1, 40); (0, 1, 41); (1, 0, 40); (1, 0, 41) ]
+    (List.rev !migrations);
+  (* The same sequence on raw pools, charged as the replaced code did. *)
+  let ca = engine () and cb = engine () in
+  let pa = Pc_vm.Lanes.create ~config:(config ca) reg prog ~z:4 in
+  let pb = Pc_vm.Lanes.create ~config:(config cb) reg prog ~z:4 in
+  let load pool e ~lane ~member inputs =
+    Pc_vm.Lanes.load pool ~lane ~member ~inputs;
+    Engine.charge_refill e ~bytes:(bytes_of inputs)
+  in
+  Array.iteri (fun i row -> load pa ca ~lane:i ~member:(40 + i) row) (rows r);
+  load pb cb ~lane:0 ~member:90 (rows resident).(0);
+  step_n pa 3;
+  let transfer src dst pairs =
+    List.fold_left
+      (fun acc (s, d) ->
+        let st = Pc_vm.Lanes.export_lane src ~lane:s in
+        Pc_vm.Lanes.evict src ~lane:s;
+        Pc_vm.Lanes.import_lane dst ~lane:d st;
+        acc +. Pc_vm.Lanes.lane_state_bytes st)
+      0. pairs
+  in
+  let bytes = transfer pa pb [ (0, 1); (1, 2) ] in
+  Engine.charge_transfer ca ~name:"preempt-park" ~bytes ~seconds:0.;
+  Engine.charge_transfer cb ~name:"preempt-resume" ~bytes ~seconds:0.;
+  step_n pb 2;
+  let bytes = transfer pb pa [ (1, 0); (2, 1) ] in
+  Engine.charge_transfer ca ~name:"drain-migrate" ~bytes ~seconds:0.;
+  drain pa;
+  List.iter
+    (fun lane ->
+      Engine.charge_retire ca ~bytes:(bytes_of (Pc_vm.Lanes.retire pa ~lane)))
+    [ 0; 1 ];
+  Alcotest.(check bool) "pool A engine charged as before" true
+    (Engine.snapshot ea = Engine.snapshot ca);
+  Alcotest.(check bool) "pool B engine charged as before" true
+    (Engine.snapshot eb = Engine.snapshot cb);
+  let c = (Engine.snapshot ea).Engine.at in
+  Alcotest.(check int) "refills" 2 c.Engine.Counters.lane_refills;
+  Alcotest.(check int) "retires" 2 c.Engine.Counters.lane_retires
+
+(* Checkpoint bytes counted off a pool image must equal the export-and-sum
+   they replace, on a pool whose occupied lanes sit at different stack
+   depths, with finished lanes still loaded and later retired. *)
+let test_occupied_bytes_matches_export () =
+  let compiled = Lazy.force fib_compiled in
+  let lanes =
+    Pc_vm.Lanes.create compiled.Autobatch.registry compiled.Autobatch.stack ~z:6
+  in
+  List.iteri
+    (fun lane n -> Pc_vm.Lanes.load lanes ~lane ~member:lane ~inputs:[ Tensor.scalar n ])
+    [ 2.; 5.; 7.; 9.; 3. ];
+  let exported () =
+    List.fold_left
+      (fun acc lane ->
+        if Pc_vm.Lanes.occupied lanes ~lane then
+          acc +. Pc_vm.Lanes.lane_state_bytes (Pc_vm.Lanes.export_lane lanes ~lane)
+        else acc)
+      0. (List.init 6 Fun.id)
+  in
+  let most_depths = ref 0 in
+  for i = 1 to 60 do
+    ignore (Pc_vm.Lanes.step lanes);
+    if i = 30 then
+      List.iter (fun lane -> ignore (Pc_vm.Lanes.retire lanes ~lane))
+        (Pc_vm.Lanes.finished_lanes lanes);
+    check_f
+      (Printf.sprintf "step %d" i)
+      (exported ())
+      (Lane_group.occupied_bytes (Pc_vm.Lanes.capture lanes));
+    let depths =
+      List.filter_map
+        (fun lane ->
+          if Pc_vm.Lanes.occupied lanes ~lane then
+            let st = Pc_vm.Lanes.export_lane lanes ~lane in
+            Some st.Pc_vm.Lanes.ls_pc.Pc_vm.Pc_stack.pl_sp
+          else None)
+        (List.init 6 Fun.id)
+    in
+    most_depths := max !most_depths (List.length (List.sort_uniq compare depths))
+  done;
+  Alcotest.(check bool) "lanes reached at least three distinct depths" true
+    (!most_depths >= 3)
+
 let test_server_charges_engine () =
   let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
   let trace = List.init 4 (fun id -> fib_request ~id 6.) in
@@ -562,6 +710,11 @@ let suites =
         t "occupancy gauge" `Quick test_occupancy_gauge;
         t "gauge compaction" `Quick test_occupancy_gauge_compaction;
         t "engine refill/retire counters" `Quick test_engine_refill_retire_counters;
+      ] );
+    ( "serve-binding",
+      [
+        t "admit, park, resume, move, retire" `Quick test_lane_group_round_trip;
+        t "checkpoint bytes from the image" `Quick test_occupied_bytes_matches_export;
       ] );
     ("serve-harness", [ t "smoke" `Slow test_serving_harness_smoke ]);
   ]

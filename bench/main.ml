@@ -1264,20 +1264,31 @@ let run_tenant ?seed () =
    embeds them in the committed BENCH_obs2.json; `bench regress` re-runs
    them and diffs. Both deliberately ignore --seed — the baseline has to
    mean the same thing on every host and under AUTOBATCH_FAST. *)
+let cost_probe name run =
+  let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  let prof = Obs_prof.create () in
+  let sink = Obs_prof.sink prof in
+  Engine.set_sink engine sink;
+  run ~engine ~sink;
+  ( name,
+    Engine.elapsed engine,
+    Obs_prof.supersteps prof,
+    (Engine.snapshot engine).Engine.at.Engine.Counters.blocks )
+
+(* fib z=32 through Pc_jit, whose block charges are tables precomputed
+   at compile time. Not a committed probe: `bench regress` checks it
+   against the fresh fib-pc-z32 probe instead. *)
+let jit_fib_probe () =
+  cost_probe "fib-jit-z32" (fun ~engine ~sink ->
+      ignore (Pc_jit.run ~engine ~sink fib_jit ~batch:fib_batch))
+
 let regress_probes () =
   let pc name compiled batch =
-    let engine = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
-    let prof = Obs_prof.create () in
-    let sink = Obs_prof.sink prof in
-    Engine.set_sink engine sink;
-    let config =
-      { Pc_vm.default_config with engine = Some engine; sink = Some sink }
-    in
-    ignore (Autobatch.run_pc ~config compiled ~batch);
-    ( name,
-      Engine.elapsed engine,
-      Obs_prof.supersteps prof,
-      (Engine.snapshot engine).Engine.at.Engine.Counters.blocks )
+    cost_probe name (fun ~engine ~sink ->
+        let config =
+          { Pc_vm.default_config with engine = Some engine; sink = Some sink }
+        in
+        ignore (Autobatch.run_pc ~config compiled ~batch))
   in
   let nuts_compiled, nuts_batch = Lazy.force nuts_fixture in
   let tenant =
@@ -1574,7 +1585,20 @@ let run_regress () =
       "regress stage failed: simulated cost or supersteps regressed vs \
        BENCH_obs2.json";
     exit 1
-  end
+  end;
+  (* The jit's precompiled cost tables must price fib exactly as the
+     interpreter's live charges do. *)
+  let _, jit_sim, jit_steps, _ = jit_fib_probe () in
+  match List.find_opt (fun (n, _, _, _) -> n = "fib-pc-z32") fresh with
+  | Some (_, sim, steps, _) when Float.equal sim jit_sim && steps = jit_steps ->
+    Printf.printf "fib-jit-z32 = fib-pc-z32: %ss, %d supersteps\n\n" (Table.si sim)
+      steps
+  | _ ->
+    Printf.eprintf
+      "regress stage failed: fib-jit-z32 (%.17g s, %d supersteps) disagrees with \
+       fib-pc-z32\n"
+      jit_sim jit_steps;
+    exit 1
 
 let run_shard ?seed () =
   (* Real wall-clock scaling of the domain-parallel sharded runtime: the

@@ -110,7 +110,10 @@ fi
 # Simulated cost is a contract: the regress stage re-runs the
 # fixed-seed probes (fib/NUTS under the pc VM, a 1k-request tenant
 # trace) and exits nonzero if simulated cost or superstep counts
-# regressed against the committed BENCH_obs2.json baseline.
+# regressed against the committed BENCH_obs2.json baseline. It also runs
+# fib z=32 through Pc_jit and exits nonzero unless the jit's precompiled
+# cost tables give exactly the simulated seconds and superstep count of
+# the fresh fib-pc-z32 probe (a check only, not a committed probe).
 step "bench regress"
 dune exec bench/main.exe -- regress
 

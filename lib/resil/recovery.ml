@@ -128,7 +128,31 @@ let restore_extras ~engine ~instrument (ck : _ Snapshot.checkpoint) =
   | Some i, Some s -> Instrument.restore i s
   | _ -> ()
 
-(* ---- Program-counter VM ----------------------------------------------- *)
+(* ---- Program-counter VM, interpreted or precompiled ------------------ *)
+
+(* Both executors run on a lane pool and checkpoint it the same way;
+   only the step function differs. *)
+let pool_runtime ~engine ~instrument lanes step =
+  let steps () = Pc_vm.Lanes.steps lanes in
+  {
+    step;
+    position = steps;
+    work = steps;
+    capture =
+      (fun () ->
+        Snapshot.encode_pc
+          {
+            Snapshot.ck_vm = Pc_vm.Lanes.capture lanes;
+            ck_engine = Option.map Engine.snapshot engine;
+            ck_instrument = Option.map Instrument.capture instrument;
+          });
+    restore =
+      (fun _ blob ->
+        let ck = Snapshot.decode_pc blob in
+        Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
+        restore_extras ~engine ~instrument ck);
+    result = (fun () -> Pc_vm.Lanes.outputs lanes);
+  }
 
 let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg program
     ~batch =
@@ -137,66 +161,24 @@ let run_pc ?(config = Pc_vm.default_config) ?(interval = 0) ?(plan = []) reg pro
   let user_sink = config.Pc_vm.sink in
   let config = { config with Pc_vm.sink = Some (fault_sink user_sink inj) } in
   let engine = config.Pc_vm.engine and instrument = config.Pc_vm.instrument in
-  let z = batch_z batch in
-  let lanes = Pc_vm.Lanes.create ~config reg program ~z in
-  for lane = 0 to z - 1 do
-    Pc_vm.Lanes.load lanes ~lane ~member:(config.Pc_vm.member_base + lane)
-      ~inputs:(List.map (fun t -> Tensor.slice_row t lane) batch)
-  done;
-  let steps () = Pc_vm.Lanes.steps lanes in
+  let lanes = Pc_vm.Lanes.create ~config reg program ~z:(batch_z batch) in
+  Pc_vm.Lanes.load_batch lanes ~batch;
   drive ~inj ~interval ~sink:user_sink ~engine ~explicit_tick:false
-    {
-      step = (fun () -> Pc_vm.Lanes.step lanes);
-      position = steps;
-      work = steps;
-      capture =
-        (fun () ->
-          Snapshot.encode_pc
-            {
-              Snapshot.ck_vm = Pc_vm.Lanes.capture lanes;
-              ck_engine = Option.map Engine.snapshot engine;
-              ck_instrument = Option.map Instrument.capture instrument;
-            });
-      restore =
-        (fun _ blob ->
-          let ck = Snapshot.decode_pc blob in
-          Pc_vm.Lanes.restore lanes ck.Snapshot.ck_vm;
-          restore_extras ~engine ~instrument ck);
-      result = (fun () -> Pc_vm.Lanes.outputs lanes);
-    }
-
-(* ---- Precompiled (JIT) VM --------------------------------------------- *)
+    (pool_runtime ~engine ~instrument lanes (fun () -> Pc_vm.Lanes.step lanes))
 
 let run_jit ?sched ?engine ?instrument ?sink:user_sink ?max_steps ?(interval = 0)
     ?(plan = []) exe ~batch =
   check_interval interval;
   let inj = Fault.injector plan in
   let sink = fault_sink user_sink inj in
-  Pc_jit.load exe ~batch;
-  let steps () = Pc_jit.steps exe in
+  let lanes = Pc_jit.lanes exe in
+  Pc_vm.Lanes.load_batch lanes ~batch;
+  (* The executor's [Step] event carries the tick: it fires after the
+     step counter advances but before the block's effects, so the
+     aborted superstep is the one the injector's clock names. *)
   drive ~inj ~interval ~sink:user_sink ~engine ~explicit_tick:false
-    {
-      (* The executor's [Step] event carries the tick: it fires after the
-         step counter advances but before the block's effects, so the
-         aborted superstep is the one the injector's clock names. *)
-      step = (fun () -> Pc_jit.step ?sched ?engine ?instrument ~sink ?max_steps exe);
-      position = steps;
-      work = steps;
-      capture =
-        (fun () ->
-          Snapshot.encode_jit
-            {
-              Snapshot.ck_vm = Pc_jit.capture exe;
-              ck_engine = Option.map Engine.snapshot engine;
-              ck_instrument = Option.map Instrument.capture instrument;
-            });
-      restore =
-        (fun _ blob ->
-          let ck = Snapshot.decode_jit blob in
-          Pc_jit.restore exe ck.Snapshot.ck_vm;
-          restore_extras ~engine ~instrument ck);
-      result = (fun () -> Pc_jit.outputs exe);
-    }
+    (pool_runtime ~engine ~instrument lanes (fun () ->
+         Pc_jit.step ?sched ?engine ?instrument ~sink ?max_steps exe))
 
 (* ---- Sharded execution ------------------------------------------------ *)
 
@@ -224,13 +206,8 @@ let run_sharded ?(sched = Sched_policy.Earliest) ?(shards = 2) ?(interval = 0) ?
           { Pc_vm.default_config with sched; member_base = part.Shard_vm.offset }
         in
         let pool = Pc_vm.Lanes.create ~config reg program ~z:part.Shard_vm.length in
-        for lane = 0 to part.Shard_vm.length - 1 do
-          Pc_vm.Lanes.load pool ~lane ~member:(part.Shard_vm.offset + lane)
-            ~inputs:
-              (List.map
-                 (fun t -> Tensor.slice_row t (part.Shard_vm.offset + lane))
-                 batch)
-        done;
+        let rows = Array.init part.Shard_vm.length (fun i -> part.Shard_vm.offset + i) in
+        Pc_vm.Lanes.load_batch pool ~batch:(List.map (fun t -> Tensor.take_rows t rows) batch);
         pool)
       parts
   in

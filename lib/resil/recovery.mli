@@ -64,10 +64,13 @@ val run_jit :
   Pc_jit.t ->
   batch:Tensor.t list ->
   Tensor.t list * stats
-(** Precompiled executor under faults. The executor's [Step] event
-    carries the injector tick (composed after [sink], which also gets the
-    [Checkpoint]/[Restore] lifecycle) — the same at-most-once semantics
-    as the interpreter's seam. *)
+(** Precompiled executor under faults: {!run_pc} with {!Pc_jit.step} as
+    the step function. The executor's lane pool is restarted on [batch]
+    and checkpointed as {!run_pc} checkpoints its pool, under the same
+    snapshot kind. The executor's [Step] event carries the injector tick
+    (composed after [sink], which also gets the [Checkpoint]/[Restore]
+    lifecycle) — the same at-most-once semantics as the interpreter's
+    seam. *)
 
 type sharded_result = {
   sh_outputs : Tensor.t list;  (** rows reassembled in shard order *)

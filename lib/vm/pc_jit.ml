@@ -1,434 +1,14 @@
-exception Step_limit_exceeded
+type t = Pc_vm.Lanes.precompiled
 
-type storage = Reg of Tensor.t ref | Msk of Tensor.t ref | Stk of Stacked.t
-
-(* The program-counter stack, embedded so the executor is reusable. *)
-type pc_stack = {
-  mutable cap : int;
-  mutable data : int array;
-  sp : int array;
-  top : int array;
-}
-
-type block_exec = {
-  ops : (unit -> unit) array;
-  (* Static cost-model charges for one execution of this block. *)
-  static_ops : (string * float) list;
-  prim_names : string list;
-  control_ops : int;
-  static_traffic : float;
-  push_lanes : int;  (* stack pushes in this block (for instrumentation) *)
-  pop_lanes : int;
-  term : unit -> unit;
-}
-
-type t = {
-  z : int;
-  halt : int;
-  store : (string, storage) Hashtbl.t;
-  stacks : Stacked.t list;
-  inputs : string list;
-  outputs : string list;
-  mask : bool array;
-  members : int array ref;  (* indices of the active members this step *)
-  pc : pc_stack;
-  blocks : block_exec array;
-  tables : Sched_policy.tables;  (* for the table-driven policies *)
-  counts : int array;        (* per-block live-lane tallies, scratch *)
-  mutable last : int;        (* scheduler cursor *)
-  mutable steps : int;
-}
-
-let pc_grow pc z =
-  let cap' = pc.cap * 2 in
-  let data' = Array.make (cap' * z) 0 in
-  Array.blit pc.data 0 data' 0 (pc.cap * z);
-  pc.cap <- cap';
-  pc.data <- data'
-
-let compile reg (p : Stack_ir.program) ~batch =
-  let z = batch in
-  if z <= 0 then invalid_arg "Pc_jit.compile: batch size must be positive";
-  let halt = Stack_ir.halt p in
-  let store = Hashtbl.create 64 in
-  let stacks = ref [] in
-  let shape_of v =
-    match Ir_util.Smap.find_opt v p.Stack_ir.shapes with
-    | Some s -> s
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Pc_jit.compile: no inferred shape for %s — compile the program with \
-            input_shapes"
-           v)
-  in
-  let storage_of v =
-    match Hashtbl.find_opt store v with
-    | Some s -> s
-    | None ->
-      let elem = shape_of v in
-      let s =
-        match Stack_ir.class_of p v with
-        | Var_class.Temp -> Reg (ref (Tensor.zeros (Shape.concat_outer z elem)))
-        | Var_class.Masked -> Msk (ref (Tensor.zeros (Shape.concat_outer z elem)))
-        | Var_class.Stacked ->
-          let st = Stacked.create ~z ~elem () in
-          stacks := st :: !stacks;
-          Stk st
-      in
-      Hashtbl.add store v s;
-      s
-  in
-  let mask = Array.make z false in
-  let members = ref (Vm_util.all_members z) in
-  let all = Vm_util.all_members z in
-  let reader v =
-    match storage_of v with
-    | Reg r | Msk r -> fun () -> !r
-    | Stk s -> fun () -> Stacked.top s
-  in
-  (* A writer returns the bookkeeping bytes its class moves per write. *)
-  let writer v =
-    let row = Shape.numel (shape_of v) in
-    match storage_of v with
-    | Reg r ->
-      ( (fun out -> Array.blit (Tensor.data out) 0 (Tensor.data !r) 0 (Tensor.numel out)),
-        Vm_util.bytes_per_elem *. float_of_int (z * row) )
-    | Msk r ->
-      ( (fun out -> Tensor.blit_rows_masked ~mask ~src:out ~dst:!r),
-        Vm_util.masked_write_bytes ~lanes:z ~row )
-    | Stk s ->
-      ( (fun out -> Stacked.write_top_masked s ~mask out),
-        Vm_util.masked_write_bytes ~lanes:z ~row )
-  in
-  let pc =
-    { cap = 8; data = Array.make (8 * z) 0; sp = Array.make z 0; top = Array.make z 0 }
-  in
-  let compile_block i (b : Stack_ir.block) =
-    let ops = ref [] in
-    let static_ops = ref [] in
-    let prim_names = ref [] in
-    let traffic = ref 0. in
-    let push_lanes = ref 0 and pop_lanes = ref 0 in
-    List.iter
-      (fun (op : Stack_ir.op) ->
-        match op with
-        | Stack_ir.Sprim { dst; prim; args } ->
-          let impl = Prim.find_exn reg prim in
-          let readers = List.map reader args in
-          let write, bytes = writer dst in
-          let batched = impl.Prim.batched in
-          ops := (fun () -> write (batched ~members:all (List.map (fun f -> f ()) readers))) :: !ops;
-          let elem_shapes = List.map shape_of args in
-          static_ops :=
-            (prim, impl.Prim.flops elem_shapes *. float_of_int z) :: !static_ops;
-          prim_names := prim :: !prim_names;
-          traffic := !traffic +. bytes
-        | Stack_ir.Sconst { dst; value } ->
-          (* The broadcast constant is computed once, at compile time. *)
-          let const = Tensor.broadcast_rows value z in
-          let write, bytes = writer dst in
-          ops := (fun () -> write const) :: !ops;
-          static_ops := ("const", float_of_int (Tensor.numel const)) :: !static_ops;
-          traffic := !traffic +. bytes
-        | Stack_ir.Smov { dst; src } ->
-          let read = reader src in
-          let write, bytes = writer dst in
-          ops := (fun () -> write (read ())) :: !ops;
-          static_ops :=
-            ("mov", float_of_int (z * Shape.numel (shape_of src))) :: !static_ops;
-          traffic := !traffic +. bytes
-        | Stack_ir.Spush v -> (
-          match storage_of v with
-          | Stk s ->
-            ops := (fun () -> Stacked.push s ~mask) :: !ops;
-            traffic := !traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s);
-            incr push_lanes
-          | Reg _ | Msk _ ->
-            invalid_arg (Printf.sprintf "Pc_jit: push of non-stacked variable %s" v))
-        | Stack_ir.Spop v -> (
-          match storage_of v with
-          | Stk s ->
-            ops := (fun () -> Stacked.pop s ~mask) :: !ops;
-            traffic := !traffic +. Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s);
-            incr pop_lanes
-          | Reg _ | Msk _ ->
-            invalid_arg (Printf.sprintf "Pc_jit: pop of non-stacked variable %s" v)))
-      b.Stack_ir.ops;
-    let set_top v =
-      Array.iter (fun b -> pc.top.(b) <- v) !members
-    in
-    let control_ops, term, term_traffic =
-      match b.Stack_ir.term with
-      | Stack_ir.Sjump j -> (2, (fun () -> set_top j), 0.)
-      | Stack_ir.Sbranch { cond; if_true; if_false } ->
-        let read = reader cond in
-        ( 3,
-          (fun () ->
-            let data = Tensor.data (read ()) in
-            Array.iter
-              (fun b -> pc.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
-              !members),
-          0. )
-      | Stack_ir.Spushjump { ret; entry } ->
-        ( 2,
-          (fun () ->
-            Array.iter
-              (fun b ->
-                if pc.sp.(b) >= pc.cap then pc_grow pc z;
-                pc.data.((pc.sp.(b) * z) + b) <- ret;
-                pc.sp.(b) <- pc.sp.(b) + 1;
-                pc.top.(b) <- entry)
-              !members),
-          Vm_util.stack_move_bytes ~lanes:z ~row:1 )
-      | Stack_ir.Spushbranch { ret; cond; if_true; if_false } ->
-        let read = reader cond in
-        ( 3,
-          (fun () ->
-            let data = Tensor.data (read ()) in
-            Array.iter
-              (fun b ->
-                if pc.sp.(b) >= pc.cap then pc_grow pc z;
-                pc.data.((pc.sp.(b) * z) + b) <- ret;
-                pc.sp.(b) <- pc.sp.(b) + 1;
-                pc.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
-              !members),
-          Vm_util.stack_move_bytes ~lanes:z ~row:1 )
-      | Stack_ir.Sreturn ->
-        ( 2,
-          (fun () ->
-            Array.iter
-              (fun b ->
-                pc.sp.(b) <- pc.sp.(b) - 1;
-                pc.top.(b) <- pc.data.((pc.sp.(b) * z) + b))
-              !members),
-          Vm_util.stack_move_bytes ~lanes:z ~row:1 )
-    in
-    ignore i;
-    {
-      ops = Array.of_list (List.rev !ops);
-      static_ops = List.rev !static_ops;
-      prim_names = List.rev !prim_names;
-      control_ops;
-      static_traffic = !traffic +. term_traffic;
-      push_lanes = !push_lanes;
-      pop_lanes = !pop_lanes;
-      term;
-    }
-  in
-  (* Force allocation of every program variable up front so missing shapes
-     fail at compile time, then compile blocks. *)
-  List.iter (fun v -> ignore (storage_of v)) (Stack_ir.all_vars p);
-  let blocks = Array.mapi compile_block p.Stack_ir.blocks in
-  {
-    z;
-    halt;
-    store;
-    stacks = !stacks;
-    inputs = p.Stack_ir.inputs;
-    outputs = p.Stack_ir.outputs;
-    mask;
-    members;
-    pc;
-    blocks;
-    (* Cost tables are static per program; computing them once here keeps
-       the per-step pick allocation-free under every policy. *)
-    tables = Sched_cost.stack_tables ~registry:reg p;
-    counts = Array.make (Array.length blocks) 0;
-    last = -1;
-    steps = 0;
-  }
-
-let reset t =
-  List.iter Stacked.reset t.stacks;
-  Array.fill t.pc.sp 0 t.z 1;
-  Array.fill t.pc.top 0 t.z 0;
-  for b = 0 to t.z - 1 do
-    t.pc.data.(b) <- t.halt
-  done;
-  Hashtbl.iter
-    (fun _ s ->
-      match s with
-      | Reg r | Msk r -> Array.fill (Tensor.data !r) 0 (Tensor.numel !r) 0.
-      | Stk _ -> ())
-    t.store
-
-let load t ~batch =
-  if List.length batch <> List.length t.inputs then
-    invalid_arg "Pc_jit.load: input count mismatch";
-  List.iter
-    (fun inp ->
-      if Tensor.rank inp = 0 || (Tensor.shape inp).(0) <> t.z then
-        invalid_arg "Pc_jit.load: inputs must have the compiled batch dimension")
-    batch;
-  reset t;
-  Array.fill t.mask 0 t.z true;
-  t.members := Vm_util.all_members t.z;
-  List.iter2
-    (fun v inp ->
-      match Hashtbl.find t.store v with
-      | Reg r | Msk r ->
-        Array.blit (Tensor.data inp) 0 (Tensor.data !r) 0 (Tensor.numel inp)
-      | Stk s -> Stacked.write_top_masked s ~mask:t.mask inp)
-    t.inputs batch;
-  t.last <- -1;
-  t.steps <- 0
-
-let steps t = t.steps
-
-let step ?(sched = Sched_policy.Earliest) ?engine ?instrument ?sink
-    ?(max_steps = 100_000_000) t =
-  let nb = Array.length t.blocks in
-  Array.fill t.counts 0 nb 0;
-  let live = ref 0 in
-  for b = 0 to t.z - 1 do
-    if t.pc.top.(b) < t.halt then begin
-      t.counts.(t.pc.top.(b)) <- t.counts.(t.pc.top.(b)) + 1;
-      incr live
-    end
-  done;
-  match Sched_policy.pick ~tables:t.tables sched ~last:t.last ~counts:t.counts with
-  | None -> false
-  | Some i ->
-    t.steps <- t.steps + 1;
-    if t.steps > max_steps then raise Step_limit_exceeded;
-    (* As in Pc_vm: the Step and Occupancy events fire before the block
-       executes, so a raising sink aborts the superstep with no effects
-       applied; the occupancy event also feeds the live-lane gauge. *)
-    (match ((sink : Obs_sink.t option), instrument) with
-    | None, None -> ()
-    | sink, instrument ->
-      let occ =
-        Obs_sink.Occupancy
-          {
-            shard = 0;
-            step = t.steps;
-            block = i;
-            active = t.counts.(i);
-            live = !live;
-            total = t.z;
-          }
-      in
-      (match sink with
-      | None -> ()
-      | Some sink ->
-        sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
-        sink occ);
-      Option.iter
-        (fun ins -> Instrument.observe_occupancy ins occ)
-        instrument);
-    t.last <- i;
-    let n_active = ref 0 in
-    for b = 0 to t.z - 1 do
-      let m = t.pc.top.(b) = i in
-      t.mask.(b) <- m;
-      if m then incr n_active
-    done;
-    t.members := Vm_util.indices_of_mask t.mask;
-    let blk = t.blocks.(i) in
-    Array.iter (fun f -> f ()) blk.ops;
-    blk.term ();
-    (match engine with
-    | Some eng ->
-      Engine.charge_block eng ~ops:blk.static_ops ~control_ops:blk.control_ops
-        ~traffic_bytes:blk.static_traffic
-    | None -> ());
-    (match instrument with
-    | Some ins ->
-      List.iter
-        (fun name -> Instrument.record_prim ins ~name ~useful:!n_active ~issued:t.z)
-        blk.prim_names;
-      for _ = 1 to blk.push_lanes do
-        Instrument.record_push ins ~lanes:!n_active
-      done;
-      for _ = 1 to blk.pop_lanes do
-        Instrument.record_pop ins ~lanes:!n_active
-      done;
-      Instrument.record_block ~block:i ins ~active:!n_active ~batch:t.z
-    | None -> ());
-    true
-
-let outputs t =
-  List.map
-    (fun v ->
-      match Hashtbl.find t.store v with
-      | Reg r | Msk r -> Tensor.copy !r
-      | Stk s -> Tensor.copy (Stacked.top s))
-    t.outputs
+let compile reg p ~batch = Pc_vm.Lanes.precompile (Pc_vm.Lanes.create reg p ~z:batch)
+let lanes = Pc_vm.Lanes.precompiled_pool
+let step = Pc_vm.Lanes.step_precompiled
+let steps t = Pc_vm.Lanes.steps (lanes t)
 
 let run ?sched ?engine ?instrument ?sink ?max_steps t ~batch =
-  load t ~batch;
+  let pool = lanes t in
+  Pc_vm.Lanes.load_batch pool ~batch;
   while step ?sched ?engine ?instrument ?sink ?max_steps t do
     ()
   done;
-  outputs t
-
-type image = {
-  ji_z : int;
-  ji_steps : int;
-  ji_last : int;
-  ji_pc : Vm_image.pc;
-  ji_store : Vm_image.store;
-}
-
-let capture t =
-  let store =
-    Hashtbl.fold
-      (fun v s acc ->
-        let img =
-          match s with
-          | Reg r ->
-            Vm_image.Reg (Array.copy (Tensor.shape !r), Array.copy (Tensor.data !r))
-          | Msk r ->
-            Vm_image.Msk (Array.copy (Tensor.shape !r), Array.copy (Tensor.data !r))
-          | Stk s -> Vm_image.Stk (Stacked.capture s)
-        in
-        (v, img) :: acc)
-      t.store []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  {
-    ji_z = t.z;
-    ji_steps = t.steps;
-    ji_last = t.last;
-    ji_pc =
-      {
-        Vm_image.pc_cap = t.pc.cap;
-        pc_data = Array.copy t.pc.data;
-        pc_sp = Array.copy t.pc.sp;
-        pc_top = Array.copy t.pc.top;
-      };
-    ji_store = store;
-  }
-
-(* Restore mutates storage in place: the compiled block closures captured
-   the [Tensor.t ref]s and [Stacked.t]s at compile time, so the executor's
-   buffers must keep their identity — only their contents change. Every
-   program variable is preallocated at compile time, so the image (captured
-   from an executor of the same program) covers the whole store. *)
-let restore t img =
-  if img.ji_z <> t.z then invalid_arg "Pc_jit.restore: batch size mismatch";
-  if Array.length img.ji_pc.Vm_image.pc_data <> img.ji_pc.Vm_image.pc_cap * t.z then
-    invalid_arg "Pc_jit.restore: pc data length disagrees with capacity";
-  t.steps <- img.ji_steps;
-  t.last <- img.ji_last;
-  t.pc.cap <- img.ji_pc.Vm_image.pc_cap;
-  t.pc.data <- Array.copy img.ji_pc.Vm_image.pc_data;
-  Array.blit img.ji_pc.Vm_image.pc_sp 0 t.pc.sp 0 t.z;
-  Array.blit img.ji_pc.Vm_image.pc_top 0 t.pc.top 0 t.z;
-  List.iter
-    (fun (v, s) ->
-      match (Hashtbl.find_opt t.store v, s) with
-      | Some (Reg r), Vm_image.Reg (shape, data)
-      | Some (Msk r), Vm_image.Msk (shape, data) ->
-        if not (Shape.equal shape (Tensor.shape !r)) then
-          invalid_arg
-            (Printf.sprintf "Pc_jit.restore: variable %s changes shape" v);
-        Array.blit data 0 (Tensor.data !r) 0 (Array.length data)
-      | Some (Stk s'), Vm_image.Stk simg -> Stacked.restore s' simg
-      | Some _, _ ->
-        invalid_arg
-          (Printf.sprintf "Pc_jit.restore: variable %s changes storage class" v)
-      | None, _ ->
-        invalid_arg (Printf.sprintf "Pc_jit.restore: unknown variable %s" v))
-    img.ji_store
+  Pc_vm.Lanes.outputs pool

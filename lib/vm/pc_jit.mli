@@ -1,18 +1,11 @@
 (** Program-counter autobatching with precompiled blocks.
 
-    Semantically identical to {!Pc_vm} (Algorithm 2), but the interpreter
-    work is done once, ahead of time — the analogue of handing the whole
-    runtime to XLA instead of walking the program step by step:
-
-    - every variable's storage is resolved and preallocated (static
-      element shapes are required, as on the paper's target platforms);
-    - every primitive is looked up once and closed over its storage;
-    - every block becomes one OCaml closure; per-block cost-model charges
-      (flops, op names, control counts) are precomputed constants.
-
-    The scheduling loop, masking semantics, scheduling heuristic and all
-    results are bitwise identical to {!Pc_vm}; only the host-side dispatch
-    overhead changes (measured in [bench/main.exe micro]). *)
+    A {!Pc_vm.Lanes} pool plus its precompiled block table
+    ({!Pc_vm.Lanes.precompile}): semantically identical to {!Pc_vm}
+    (Algorithm 2) — same scheduling loop, masking, state and checkpoint
+    image — with the interpreter work done once, ahead of time. Only the
+    host-side dispatch overhead changes (measured by the [control]
+    workload of [perfbench/]). *)
 
 type t
 
@@ -31,12 +24,13 @@ val run :
   batch:Tensor.t list ->
   Tensor.t list
 (** Execute on inputs whose batch dimension matches [compile]'s. The
-    executor is reusable: storage is reset from the inputs each run.
-    Equivalent to {!load} followed by {!step} until it returns [false],
-    then {!outputs}. *)
+    executor is reusable: {!Pc_vm.Lanes.load_batch} restarts the pool,
+    then {!step} runs until it returns [false], then
+    {!Pc_vm.Lanes.outputs}. *)
 
-val load : t -> batch:Tensor.t list -> unit
-(** Reset all storage and load a fresh batch, ready to {!step}. *)
+val lanes : t -> Pc_vm.Lanes.t
+(** The executor's lane pool: load, outputs, capture and restore go
+    through it. *)
 
 val step :
   ?sched:Sched_policy.t ->
@@ -46,36 +40,9 @@ val step :
   ?max_steps:int ->
   t ->
   bool
-(** Execute one scheduled basic block; [false] when every member has
-    halted. Pass the same optional arguments on every call of a run.
-    [sink] receives one [Obs_sink.Step] per superstep, before the block
-    executes (as in {!Pc_vm.config}); a raising sink aborts the step.
-    Raises {!Step_limit_exceeded} past [max_steps]. *)
-
-val outputs : t -> Tensor.t list
-(** The output tensors (freshly copied) in program order. *)
+(** {!Pc_vm.Lanes.step_precompiled}: one scheduled basic block; [false]
+    when every lane has halted. Raises {!Pc_vm.Step_limit_exceeded} past
+    [max_steps]. *)
 
 val steps : t -> int
-(** Supersteps executed since the last {!load}. *)
-
-(** Plain-data checkpoint of the executor's mutable state (step count,
-    scheduler cursor, pc stack, every variable — sorted by name, so images
-    of equal states are structurally equal). The compiled closures are not
-    part of the image: capture and restore on executors compiled from the
-    same program at the same batch size. *)
-type image = {
-  ji_z : int;
-  ji_steps : int;
-  ji_last : int;
-  ji_pc : Vm_image.pc;
-  ji_store : Vm_image.store;
-}
-
-val capture : t -> image
-
-val restore : t -> image -> unit
-(** Overwrite the executor's state in place (buffer identity is preserved
-    — the compiled closures hold references into them). Raises
-    [Invalid_argument] on batch-size, shape, or storage-class mismatch. *)
-
-exception Step_limit_exceeded
+(** Supersteps executed since the pool was last loaded. *)

@@ -132,19 +132,15 @@ end
 
 type storage = Reg of Tensor.t ref | Msk of Tensor.t ref | Stk of Stacked.t
 
+(* The leading dimension of the first input; [Lanes.load_batch] checks
+   the rest against it. *)
 let batch_size batch =
   match batch with
   | [] -> invalid_arg "Pc_vm: at least one input required"
   | first :: _ ->
     if Tensor.rank first = 0 then
       invalid_arg "Pc_vm: inputs must carry a leading batch dimension";
-    let z = (Tensor.shape first).(0) in
-    List.iter
-      (fun t ->
-        if Tensor.rank t = 0 || (Tensor.shape t).(0) <> z then
-          invalid_arg "Pc_vm: inputs disagree on the batch dimension")
-      batch;
-    z
+    (Tensor.shape first).(0)
 
 (* The steppable lane pool: all of the program-counter VM's state, with
    per-lane occupancy so a serving layer can retire a halted lane and
@@ -289,6 +285,44 @@ module Lanes = struct
     t.members.(lane) <- member;
     t.occupied.(lane) <- true;
     Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:0
+
+  let load_batch t ~batch =
+    if List.length t.p.Stack_ir.inputs <> List.length batch then
+      invalid_arg "Pc_vm: input count mismatch";
+    List.iter
+      (fun inp ->
+        if Tensor.rank inp = 0 || (Tensor.shape inp).(0) <> t.z then
+          invalid_arg "Pc_vm: inputs must carry the pool's batch dimension")
+      batch;
+    Hashtbl.iter
+      (fun _ s ->
+        match s with
+        | Reg r | Msk r -> Array.fill (Tensor.data !r) 0 (Tensor.numel !r) 0.
+        | Stk s -> Stacked.reset s)
+      t.store;
+    List.iter2
+      (fun v inp ->
+        let s =
+          match Hashtbl.find_opt t.store v with
+          | Some s -> s
+          | None -> allocate t v (Vm_util.elem_shape_of_batched inp)
+        in
+        let dst = match s with Reg r | Msk r -> !r | Stk st -> Stacked.top st in
+        if Tensor.numel inp <> Tensor.numel dst then
+          invalid_arg (Printf.sprintf "Pc_vm.Lanes: input %s has the wrong element shape" v);
+        Array.blit (Tensor.data inp) 0 (Tensor.data dst) 0 (Tensor.numel inp))
+      t.p.Stack_ir.inputs batch;
+    (* The pc stack's capacity is part of the image: start it afresh. *)
+    let cap = max 1 t.config.initial_depth in
+    t.pc.Pc_stack.cap <- cap;
+    t.pc.Pc_stack.data <- Array.make (cap * t.z) 0;
+    for lane = 0 to t.z - 1 do
+      t.members.(lane) <- t.config.member_base + lane;
+      Pc_stack.reset_lane t.pc ~lane ~bottom:t.halt ~start:0
+    done;
+    Array.fill t.occupied 0 t.z true;
+    t.steps <- 0;
+    t.last <- -1
 
   let lane_outputs t ~lane =
     List.map (fun v -> Tensor.copy (Tensor.slice_row (read t v) lane)) t.p.Stack_ir.outputs
@@ -473,22 +507,34 @@ module Lanes = struct
     Pc_stack.restore t.pc img.li_pc;
     (* Rebuild the store from the image alone: a variable first allocated
        after the capture must disappear, or its stale masked rows would
-       leak into lanes the image knows nothing about. *)
+       leak into lanes the image knows nothing about. A variable the image
+       shares with the pool keeps its storage cell (only the contents
+       change), so blocks precompiled over the pool stay valid. *)
+    let old = Hashtbl.copy t.store in
     Hashtbl.reset t.store;
     List.iter
       (fun (v, s) ->
-        match s with
-        | Vm_image.Reg (shape, data) ->
-          Hashtbl.replace t.store v (Reg (ref (Tensor.of_array shape data)))
-        | Vm_image.Msk (shape, data) ->
-          Hashtbl.replace t.store v (Msk (ref (Tensor.of_array shape data)))
-        | Vm_image.Stk simg ->
-          let s =
-            Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem
-              ~initial_depth:t.config.initial_depth ()
-          in
-          Stacked.restore s simg;
-          Hashtbl.replace t.store v (Stk s))
+        let cell =
+          match (s, Hashtbl.find_opt old v) with
+          | Vm_image.Reg (shape, data), Some (Reg r as cell)
+          | Vm_image.Msk (shape, data), Some (Msk r as cell) ->
+            r := Tensor.of_array shape data;
+            cell
+          | Vm_image.Reg (shape, data), _ -> Reg (ref (Tensor.of_array shape data))
+          | Vm_image.Msk (shape, data), _ -> Msk (ref (Tensor.of_array shape data))
+          | Vm_image.Stk simg, Some (Stk s)
+            when Shape.equal (Stacked.elem s) simg.Stacked.i_elem ->
+            Stacked.restore s simg;
+            Stk s
+          | Vm_image.Stk simg, _ ->
+            let s =
+              Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem
+                ~initial_depth:t.config.initial_depth ()
+            in
+            Stacked.restore s simg;
+            Stk s
+        in
+        Hashtbl.replace t.store v cell)
       img.li_store
 
   let check_shape v cur_shape out =
@@ -687,19 +733,279 @@ module Lanes = struct
         (fun ins -> Instrument.record_block ~block:i ins ~active:n_active ~batch:z)
         config.instrument;
       true
+
+  (* ---- Precompiled blocks (the Pc_jit executor) ----
+
+     [step] with the interpretation done once, ahead of time: every
+     variable's storage cell is resolved, every primitive is looked up
+     and closed over those cells, and every block's cost-model charges
+     are constants. The closures read the cells on each call and
+     [restore] keeps the cells, so they survive checkpoint restores. *)
+
+  type block_exec = {
+    ops : (unit -> unit) array;
+    static_ops : (string * float) list;
+    control_ops : int;
+    static_traffic : float;
+    term : unit -> unit;
+  }
+
+  type precompiled = {
+    pool : t;
+    blocks : block_exec array;
+    all_tables : Sched_policy.tables;  (* the policy is chosen per step *)
+    mask : bool array;
+    active : int array ref;  (* lanes executing the current block *)
+    ins : Instrument.t option ref;  (* the current step's instrument *)
+  }
+
+  let precompile t =
+    if (not t.config.top_cache) || t.config.naive_stack_writes then
+      invalid_arg "Pc_vm.Lanes.precompile: the cost ablations are interpreter-only";
+    let z = t.z and pc = t.pc in
+    let mask = Array.make z false and active = ref [||] and ins = ref None in
+    let shape_of v =
+      match Ir_util.Smap.find_opt v t.p.Stack_ir.shapes with
+      | Some s -> s
+      | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Pc_vm.Lanes.precompile: no inferred shape for %s — compile the program \
+              with input_shapes"
+             v)
+    in
+    List.iter (fun v -> ignore (shape_of v)) (Stack_ir.all_vars t.p);
+    let storage_of v =
+      match Hashtbl.find_opt t.store v with
+      | Some s -> s
+      | None -> allocate t v (shape_of v)
+    in
+    let reader v =
+      match storage_of v with
+      | Reg r | Msk r -> fun () -> !r
+      | Stk s -> fun () -> Stacked.top s
+    in
+    (* A writer returns the bookkeeping bytes its class moves per write. *)
+    let writer v =
+      let row = Shape.numel (shape_of v) in
+      match storage_of v with
+      | Reg r ->
+        ( (fun out -> Array.blit (Tensor.data out) 0 (Tensor.data !r) 0 (Tensor.numel out)),
+          Vm_util.bytes_per_elem *. float_of_int (z * row) )
+      | Msk r ->
+        ( (fun out -> Tensor.blit_rows_masked ~mask ~src:out ~dst:!r),
+          Vm_util.masked_write_bytes ~lanes:z ~row )
+      | Stk s ->
+        ( (fun out -> Stacked.write_top_masked s ~mask out),
+          Vm_util.masked_write_bytes ~lanes:z ~row )
+    in
+    let stacked v what =
+      match storage_of v with
+      | Stk s -> s
+      | Reg _ | Msk _ ->
+        invalid_arg (Printf.sprintf "Pc_vm: %s of non-stacked variable %s" what v)
+    in
+    let push_ret ret b =
+      if pc.Pc_stack.sp.(b) >= pc.Pc_stack.cap then Pc_stack.grow pc;
+      pc.Pc_stack.data.((pc.Pc_stack.sp.(b) * z) + b) <- ret;
+      pc.Pc_stack.sp.(b) <- pc.Pc_stack.sp.(b) + 1
+    in
+    let record_pc_depth () =
+      match !ins with
+      | Some i -> Instrument.record_depth i (Pc_stack.max_depth pc)
+      | None -> ()
+    in
+    let compile_block (b : Stack_ir.block) =
+      let ops = ref [] and static_ops = ref [] and traffic = ref 0. in
+      let emit op charge bytes =
+        ops := op :: !ops;
+        Option.iter (fun c -> static_ops := c :: !static_ops) charge;
+        traffic := !traffic +. bytes
+      in
+      List.iter
+        (fun (op : Stack_ir.op) ->
+          match op with
+          | Stack_ir.Sprim { dst; prim; args } ->
+            let impl = Prim.find_exn t.reg prim in
+            let readers = List.map reader args in
+            let write, bytes = writer dst in
+            let batched = impl.Prim.batched and members = t.members in
+            emit
+              (fun () ->
+                let out = batched ~members (List.map (fun f -> f ()) readers) in
+                (match !ins with
+                | Some i ->
+                  Instrument.record_prim i ~name:prim ~useful:(Array.length !active)
+                    ~issued:z
+                | None -> ());
+                write out)
+              (Some (prim, impl.Prim.flops (List.map shape_of args) *. float_of_int z))
+              bytes
+          | Stack_ir.Sconst { dst; value } ->
+            (* The broadcast constant is computed once, here. *)
+            let const = Tensor.broadcast_rows value z in
+            let write, bytes = writer dst in
+            emit
+              (fun () -> write const)
+              (Some ("const", float_of_int (Tensor.numel const)))
+              bytes
+          | Stack_ir.Smov { dst; src } ->
+            let read = reader src in
+            let write, bytes = writer dst in
+            emit
+              (fun () -> write (read ()))
+              (Some ("mov", float_of_int (z * Shape.numel (shape_of src))))
+              bytes
+          | Stack_ir.Spush v ->
+            let s = stacked v "push" in
+            emit
+              (fun () ->
+                Stacked.push s ~mask;
+                match !ins with
+                | Some i ->
+                  Instrument.record_push i ~lanes:(Array.length !active);
+                  Instrument.record_depth i (Stacked.max_depth s)
+                | None -> ())
+              None
+              (Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s))
+          | Stack_ir.Spop v ->
+            let s = stacked v "pop" in
+            emit
+              (fun () ->
+                Stacked.pop s ~mask;
+                match !ins with
+                | Some i -> Instrument.record_pop i ~lanes:(Array.length !active)
+                | None -> ())
+              None
+              (Vm_util.stack_move_bytes ~lanes:z ~row:(Stacked.row s)))
+        b.Stack_ir.ops;
+      let pc_move = Vm_util.stack_move_bytes ~lanes:z ~row:1 in
+      let control_ops, term, term_traffic =
+        match b.Stack_ir.term with
+        | Stack_ir.Sjump j ->
+          (2, (fun () -> Array.iter (fun b -> pc.Pc_stack.top.(b) <- j) !active), 0.)
+        | Stack_ir.Sbranch { cond; if_true; if_false } ->
+          let read = reader cond in
+          ( 3,
+            (fun () ->
+              let data = Tensor.data (read ()) in
+              Array.iter
+                (fun b ->
+                  pc.Pc_stack.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
+                !active),
+            0. )
+        | Stack_ir.Spushjump { ret; entry } ->
+          ( 2,
+            (fun () ->
+              Array.iter
+                (fun b ->
+                  push_ret ret b;
+                  pc.Pc_stack.top.(b) <- entry)
+                !active;
+              record_pc_depth ()),
+            pc_move )
+        | Stack_ir.Spushbranch { ret; cond; if_true; if_false } ->
+          let read = reader cond in
+          ( 3,
+            (fun () ->
+              let data = Tensor.data (read ()) in
+              Array.iter
+                (fun b ->
+                  push_ret ret b;
+                  pc.Pc_stack.top.(b) <- (if data.(b) <> 0. then if_true else if_false))
+                !active;
+              record_pc_depth ()),
+            pc_move )
+        | Stack_ir.Sreturn ->
+          ( 2,
+            (fun () ->
+              Array.iter
+                (fun b ->
+                  pc.Pc_stack.sp.(b) <- pc.Pc_stack.sp.(b) - 1;
+                  pc.Pc_stack.top.(b) <- pc.Pc_stack.data.((pc.Pc_stack.sp.(b) * z) + b))
+                !active),
+            pc_move )
+      in
+      {
+        ops = Array.of_list (List.rev !ops);
+        static_ops = List.rev !static_ops;
+        control_ops;
+        static_traffic = !traffic +. term_traffic;
+        term;
+      }
+    in
+    {
+      pool = t;
+      blocks = Array.map compile_block t.p.Stack_ir.blocks;
+      (* Static per program; computing them here keeps the per-step pick
+         allocation-free under every policy. *)
+      all_tables =
+        (match t.tables with
+        | Some tables -> tables
+        | None -> Sched_cost.stack_tables ~registry:t.reg t.p);
+      mask;
+      active;
+      ins;
+    }
+
+  let precompiled_pool c = c.pool
+
+  let step_precompiled ?(sched = Sched_policy.Earliest) ?engine ?instrument ?sink
+      ?(max_steps = 100_000_000) c =
+    let t = c.pool in
+    let z = t.z and top = t.pc.Pc_stack.top in
+    Array.fill t.counts 0 t.nb 0;
+    let live = ref 0 in
+    for b = 0 to z - 1 do
+      if top.(b) < t.halt then begin
+        t.counts.(top.(b)) <- t.counts.(top.(b)) + 1;
+        incr live
+      end
+    done;
+    match Sched_policy.pick ~tables:c.all_tables sched ~last:t.last ~counts:t.counts with
+    | None -> false
+    | Some i ->
+      t.steps <- t.steps + 1;
+      if t.steps > max_steps then raise Step_limit_exceeded;
+      (* As in [step]: the events fire before the block runs. *)
+      (match ((sink : Obs_sink.t option), instrument) with
+      | None, None -> ()
+      | sink, instrument ->
+        let occ =
+          Obs_sink.Occupancy
+            { shard = 0; step = t.steps; block = i; active = t.counts.(i); live = !live; total = z }
+        in
+        (match sink with
+        | None -> ()
+        | Some sink ->
+          sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
+          sink occ);
+        Option.iter (fun ins -> Instrument.observe_occupancy ins occ) instrument);
+      t.last <- i;
+      for b = 0 to z - 1 do
+        c.mask.(b) <- top.(b) = i
+      done;
+      c.active := Vm_util.indices_of_mask c.mask;
+      c.ins := instrument;
+      let blk = c.blocks.(i) in
+      Array.iter (fun f -> f ()) blk.ops;
+      blk.term ();
+      Option.iter
+        (fun eng ->
+          Engine.charge_block eng ~ops:blk.static_ops ~control_ops:blk.control_ops
+            ~traffic_bytes:blk.static_traffic)
+        engine;
+      Option.iter
+        (fun ins ->
+          Instrument.record_block ~block:i ins ~active:(Array.length !(c.active)) ~batch:z)
+        instrument;
+      true
 end
 
 let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
-  let z = batch_size batch in
-  let lanes = Lanes.create ~config reg p ~z in
-  for lane = 0 to z - 1 do
-    Lanes.load lanes ~lane ~member:(config.member_base + lane)
-      ~inputs:(List.map (fun t -> Tensor.slice_row t lane) batch)
-  done;
+  let lanes = Lanes.create ~config reg p ~z:(batch_size batch) in
+  Lanes.load_batch lanes ~batch;
   while Lanes.step lanes do
     ()
   done;
-  (* Fresh tensors: the VM's storage buffers must not escape. *)
-  List.map (fun v -> Tensor.copy (Lanes.read lanes v)) p.Stack_ir.outputs
-
-let final_max_depth = Instrument.max_depth
+  Lanes.outputs lanes

@@ -88,8 +88,8 @@ module Pc_stack : sig
       inconsistent. *)
 end
 
-(** The steppable lane pool behind both {!run} and the continuous-batching
-    server ({!module:Server} in [lib/serve]).
+(** The steppable lane pool behind {!run}, {!Pc_jit} and the
+    continuous-batching server ({!module:Server} in [lib/serve]).
 
     A lane is one batch slot. Lanes are individually [load]ed with a
     request's inputs and RNG member identity, advance together one
@@ -116,8 +116,8 @@ module Lanes : sig
   val z : t -> int
   val program : t -> Stack_ir.program
   val steps : t -> int
-  (** Basic blocks executed so far (monotone; bounded by
-      [config.max_steps]). *)
+  (** Basic blocks executed since {!create} or the last {!load_batch}
+      (bounded by [config.max_steps]). *)
 
   val occupied : t -> lane:int -> bool
   (** The lane carries a request (running or finished-but-unretired). *)
@@ -150,6 +150,14 @@ module Lanes : sig
   (** Extract a finished lane's outputs (element tensors, freshly copied)
       and free the lane. Raises [Invalid_argument] unless
       [finished t ~lane]. *)
+
+  val load_batch : t -> batch:Tensor.t list -> unit
+  (** Restart the whole pool on a batch: every variable zeroed, lane [i]
+      loaded with row [i] of the inputs (which carry the pool's [z] as
+      their leading dimension) as member [config.member_base + i], and
+      the step count and scheduler cursor back at zero. Live lanes are
+      overwritten. Raises [Invalid_argument] if the inputs mismatch the
+      program or the pool's width. *)
 
   val lane_outputs : t -> lane:int -> Tensor.t list
   (** Peek one lane's current output rows without freeing the lane. *)
@@ -227,8 +235,45 @@ module Lanes : sig
   (** Overwrite the pool's state with the image. The store is rebuilt from
       the image alone — variables first allocated after the capture
       disappear, exactly as if execution had never passed the capture
-      point. Raises [Invalid_argument] on lane-count mismatch. [t] must
-      run the same program the image was captured from. *)
+      point. A variable present in both keeps its storage cell, so
+      {!precompiled} blocks stay valid. Raises [Invalid_argument] on
+      lane-count mismatch. [t] must run the same program the image was
+      captured from. *)
+
+  (** {2 Precompiled blocks}
+
+      {!step} with the interpretation done once, ahead of time — the
+      analogue of handing the whole runtime to XLA instead of walking
+      the program: every variable's storage is resolved (static element
+      shapes are required), every primitive is looked up once and closed
+      over it, every block becomes one OCaml closure, and its cost-model
+      charges are constants. State, images and member identities are the
+      pool's own, so either step function can continue a pool the other
+      advanced; results, charges and instrumentation are bitwise those of
+      {!step}. This is {!Pc_jit}. *)
+
+  type precompiled
+
+  val precompile : t -> precompiled
+  (** Raises [Invalid_argument] if some variable of the program lacks an
+      inferred shape (compile it with [input_shapes]) or the pool's config
+      asks for a cost ablation ([top_cache = false] or
+      [naive_stack_writes]). *)
+
+  val precompiled_pool : precompiled -> t
+
+  val step_precompiled :
+    ?sched:Sched_policy.t ->
+    ?engine:Engine.t ->
+    ?instrument:Instrument.t ->
+    ?sink:Obs_sink.t ->
+    ?max_steps:int ->
+    precompiled ->
+    bool
+  (** One {!step} of the pool through the precompiled blocks. Scheduling,
+      observation and the step limit are arguments here, not the pool's
+      config, so one executor serves runs with different engines; pass
+      the same ones on every call of a run. *)
 end
 
 val run :
@@ -239,6 +284,3 @@ val run :
   Tensor.t list
 (** [run reg p ~batch] executes the program on inputs carrying a common
     leading batch dimension; results do too. *)
-
-val final_max_depth : Instrument.t -> int
-(** Convenience alias of {!Instrument.max_depth}. *)

@@ -233,6 +233,104 @@ let test_lanes_snapshot_roundtrip () =
   check_bits_tensors "resumed outputs" (Pc_vm.Lanes.outputs lanes)
     (Pc_vm.Lanes.outputs lanes')
 
+(* A pool's checkpoint does not say which step function advanced it: a
+   pool captured mid-run under one executor finishes under the other
+   bitwise, simulated clock included. The receiving jit pool has already
+   run another batch, so stale storage behind its precompiled blocks
+   would show in the outputs. *)
+let test_checkpoint_crosses_step_functions () =
+  let compiled = Lazy.force fib_compiled in
+  let reg = compiled.Autobatch.registry and stack = compiled.Autobatch.stack in
+  let z = 6 in
+  let batch = fib_batch z in
+  let engine () = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  let pc_pool e =
+    Pc_vm.Lanes.create ~config:{ Pc_vm.default_config with Pc_vm.engine = Some e } reg
+      stack ~z
+  in
+  let e0 = engine () in
+  let reference = pc_pool e0 in
+  Pc_vm.Lanes.load_batch reference ~batch;
+  while Pc_vm.Lanes.step reference do () done;
+  let expected = Pc_vm.Lanes.outputs reference in
+  (* Advance [k] supersteps on one side, hand over image and clock, then
+     drain on the other. *)
+  let handover ~advance ~finish =
+    let e = engine () in
+    let img = advance e in
+    let e' = engine () in
+    Engine.restore e' (Engine.snapshot e);
+    let outs, steps = finish e' img in
+    check_bits_tensors "handed-over outputs" expected outs;
+    Alcotest.(check int) "same supersteps" (Pc_vm.Lanes.steps reference) steps;
+    check_bits_float "same simulated clock" (Engine.elapsed e0) (Engine.elapsed e')
+  in
+  let k = 9 in
+  handover
+    ~advance:(fun e ->
+      let exe = Autobatch.jit compiled ~batch:z in
+      Pc_vm.Lanes.load_batch (Pc_jit.lanes exe) ~batch;
+      for _ = 1 to k do
+        ignore (Pc_jit.step ~engine:e exe)
+      done;
+      Pc_vm.Lanes.capture (Pc_jit.lanes exe))
+    ~finish:(fun e img ->
+      let lanes = pc_pool e in
+      Pc_vm.Lanes.restore lanes img;
+      while Pc_vm.Lanes.step lanes do () done;
+      (Pc_vm.Lanes.outputs lanes, Pc_vm.Lanes.steps lanes));
+  handover
+    ~advance:(fun e ->
+      let lanes = pc_pool e in
+      Pc_vm.Lanes.load_batch lanes ~batch;
+      for _ = 1 to k do
+        ignore (Pc_vm.Lanes.step lanes)
+      done;
+      Pc_vm.Lanes.capture lanes)
+    ~finish:(fun e img ->
+      let exe = Autobatch.jit compiled ~batch:z in
+      ignore (Pc_jit.run exe ~batch:[ Tensor.init [| z |] (fun _ -> 9.) ]);
+      Pc_vm.Lanes.restore (Pc_jit.lanes exe) img;
+      while Pc_jit.step ~engine:e exe do () done;
+      (Pc_vm.Lanes.outputs (Pc_jit.lanes exe), Pc_jit.steps exe))
+
+(* [Recovery.run_jit] checkpoints the jit's pool under the pc kind: at
+   every checkpoint, a [Snapshot.encode_pc] blob of the pool has exactly
+   the announced size and decodes with [Snapshot.decode_pc]. *)
+let test_jit_checkpoints_are_pc_kind () =
+  let compiled = Lazy.force fib_compiled in
+  let z = 6 in
+  let exe = Autobatch.jit compiled ~batch:z in
+  let e = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
+  let seen = ref 0 in
+  let sink = function
+    | Obs_sink.Checkpoint { bytes; _ } ->
+      incr seen;
+      let img = Pc_vm.Lanes.capture (Pc_jit.lanes exe) in
+      let blob =
+        Snapshot.encode_pc
+          { Snapshot.ck_vm = img; ck_engine = Some (Engine.snapshot e); ck_instrument = None }
+      in
+      Alcotest.(check int) "announced size is a pc blob's" (String.length blob) bytes;
+      Alcotest.(check bool) "decodes as pc" true
+        ((Snapshot.decode_pc blob).Snapshot.ck_vm = img)
+    | _ -> ()
+  in
+  let _, st = Recovery.run_jit ~engine:e ~sink ~interval:4 exe ~batch:(fib_batch z) in
+  Alcotest.(check int) "every checkpoint seen" st.Recovery.checkpoints !seen;
+  let _, pc_st =
+    Recovery.run_pc
+      ~config:
+        {
+          Pc_vm.default_config with
+          Pc_vm.engine = Some (Engine.create ~device:Device.gpu ~mode:Engine.Fused ());
+        }
+      ~interval:4 compiled.Autobatch.registry compiled.Autobatch.stack
+      ~batch:(fib_batch z)
+  in
+  Alcotest.(check int) "same bytes as run_pc" pc_st.Recovery.checkpoint_bytes
+    st.Recovery.checkpoint_bytes
+
 let test_engine_snapshot_restores_cost () =
   let e = Engine.create ~device:Device.gpu ~mode:Engine.Fused () in
   Engine.charge_kernel e ~name:"add" ~flops:1e6;
@@ -526,6 +624,7 @@ let suites =
       [
         t "stacked image" `Quick test_stacked_image_roundtrip;
         t "lanes snapshot resumes bitwise" `Quick test_lanes_snapshot_roundtrip;
+        t "checkpoint crosses pc and jit" `Quick test_checkpoint_crosses_step_functions;
         t "engine snapshot restores cost" `Quick test_engine_snapshot_restores_cost;
         t "instrument image" `Quick test_instrument_image_roundtrip;
       ] );
@@ -535,6 +634,7 @@ let suites =
         t "checkpoints are effect-free" `Quick test_recovery_pc_checkpoints_do_not_perturb;
         t "instrument identical after recovery" `Quick test_recovery_pc_instrument_identical;
         t "jit bitwise with engine" `Quick test_recovery_jit_bitwise;
+        t "jit checkpoints are pc kind" `Quick test_jit_checkpoints_are_pc_kind;
         t "sharded bitwise, localized restore" `Quick test_recovery_sharded_bitwise;
         t "server bitwise under every policy" `Quick
           test_recovery_server_bitwise_all_policies;

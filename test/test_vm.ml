@@ -356,7 +356,11 @@ let test_jit_instrument () =
     (Instrument.pushes ins_jit);
   Alcotest.(check (float 1e-12)) "same utilization"
     (Instrument.overall_utilization ins_pc)
-    (Instrument.overall_utilization ins_jit)
+    (Instrument.overall_utilization ins_jit);
+  Alcotest.(check int) "same max depth" (Instrument.max_depth ins_pc)
+    (Instrument.max_depth ins_jit);
+  Alcotest.(check bool) "same instrument image" true
+    (Instrument.capture ins_pc = Instrument.capture ins_jit)
 
 let jit_suite =
   ( "pc-jit",

@@ -94,6 +94,41 @@ let test_span_sink_and_limit () =
   Alcotest.(check int) "kept up to limit" 2 (Obs_span.length t);
   Alcotest.(check int) "dropped counted" 2 (Obs_span.dropped t)
 
+(* The parsed [traceEvents] of a Chrome document written to a file. *)
+let chrome_events write =
+  let path = Filename.temp_file "autobatch-span" ".json" in
+  write ~path;
+  let contents = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  match Obs_json.of_string contents with
+  | Error e -> Alcotest.failf "chrome export unparseable: %s" e
+  | Ok doc -> (
+    match Obs_json.member "traceEvents" doc with
+    | Some (Obs_json.List evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents array")
+
+let str key ev =
+  match Obs_json.member key ev with Some (Obs_json.Str s) -> s | _ -> ""
+
+let int key ev =
+  match Obs_json.member key ev with Some (Obs_json.Int i) -> i | _ -> min_int
+
+let arg key ev =
+  match Obs_json.member "args" ev with Some args -> int key args | None -> min_int
+
+(* Thread names by tid, from the metadata records. *)
+let thread_names evs =
+  List.filter_map
+    (fun ev ->
+      if str "ph" ev = "M" then
+        match Obs_json.member "args" ev with
+        | Some args -> Some (int "tid" ev, str "name" args)
+        | None -> None
+      else None)
+    evs
+
+let named name evs = List.filter (fun ev -> str "name" ev = name) evs
+
 let test_span_chrome_roundtrip () =
   let t = Obs_span.create () in
   Obs_span.record t (span ~id:0 ~track:3 ~name:"request" 0. 10.);
@@ -101,18 +136,32 @@ let test_span_chrome_roundtrip () =
   Obs_span.record t
     (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:2
        ~name:"restore" 4. 4.);
-  let path = Filename.temp_file "autobatch-span" ".json" in
-  Obs_span.write t ~path;
-  let contents = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  match Obs_json.of_string contents with
-  | Error e -> Alcotest.failf "chrome export unparseable: %s" e
-  | Ok doc -> (
-    match Obs_json.member "traceEvents" doc with
-    | Some (Obs_json.List evs) ->
-      (* 2 "X" spans + 1 instant + thread-name metadata records. *)
-      Alcotest.(check bool) "has events" true (List.length evs >= 3)
-    | _ -> Alcotest.fail "no traceEvents array")
+  let evs = chrome_events (Obs_span.write t) in
+  (* One thread per span track, named after it. *)
+  let threads = thread_names evs in
+  Alcotest.(check (list string)) "thread names" [ "ops"; "tenant 3" ]
+    (List.sort compare (List.map snd threads));
+  let tid_of name = fst (List.find (fun (_, n) -> n = name) threads) in
+  Alcotest.(check bool) "distinct threads" true (tid_of "ops" <> tid_of "tenant 3");
+  let one name =
+    match named name evs with
+    | [ ev ] -> ev
+    | l -> Alcotest.failf "%d events named %s" (List.length l) name
+  in
+  let request = one "request" and service = one "service" and restore = one "restore" in
+  (* "X" complete events for t1 > t0, "i" instants for t1 = t0. *)
+  Alcotest.(check string) "request is X" "X" (str "ph" request);
+  Alcotest.(check string) "service is X" "X" (str "ph" service);
+  Alcotest.(check string) "restore is i" "i" (str "ph" restore);
+  Alcotest.(check int) "request on tenant 3" (tid_of "tenant 3") (int "tid" request);
+  Alcotest.(check int) "service on tenant 3" (tid_of "tenant 3") (int "tid" service);
+  Alcotest.(check int) "restore on ops" (tid_of "ops") (int "tid" restore);
+  (* The span identity travels in args. *)
+  Alcotest.(check (list int)) "service args" [ 0; 1; 0 ]
+    [ arg "trace" service; arg "span" service; arg "parent" service ];
+  Alcotest.(check (list int)) "restore args"
+    [ Obs_span.ops_trace; 2; Obs_span.no_parent ]
+    [ arg "trace" restore; arg "span" restore; arg "parent" restore ]
 
 let test_span_server_integration () =
   (* A small tenant trace run bare and observed: attaching the recorder

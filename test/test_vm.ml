@@ -362,6 +362,119 @@ let test_jit_instrument () =
   Alcotest.(check bool) "same instrument image" true
     (Instrument.capture ins_pc = Instrument.capture ins_jit)
 
+(* ---------- instrument readouts, pinned ---------- *)
+
+(* Every readout an instrument offers, split in three strings (totals,
+   per-primitive table with utilization, per-block profile) and compared
+   against literals, so a change in how the VMs feed their instrument
+   shows up as a diff. The literals were recorded from the runtimes that
+   counted blocks through a separate per-block call. *)
+let check_readout ins (totals, prims, blocks) =
+  Alcotest.(check string) "totals" totals
+    (Printf.sprintf
+       "blocks=%d overall=%.17g occupancy=%.17g pushes=%d pops=%d max_depth=%d"
+       (Instrument.blocks_executed ins)
+       (Instrument.overall_utilization ins)
+       (Instrument.mean_occupancy ins)
+       (Instrument.pushes ins) (Instrument.pops ins) (Instrument.max_depth ins));
+  Alcotest.(check string) "prims" prims
+    ((Instrument.capture ins).Instrument.i_prims
+    |> List.map (fun (name, useful, issued) ->
+           Printf.sprintf "%s:%d/%d:%.17g" name useful issued
+             (Option.value ~default:nan (Instrument.utilization ins ~name)))
+    |> String.concat " ");
+  Alcotest.(check string) "block_stats" blocks
+    (Instrument.block_stats ins
+    |> List.map (fun (b, execs, active) -> Printf.sprintf "%d:%d:%d" b execs active)
+    |> String.concat " ")
+
+let fib_z32 = [ Tensor.init [| 32 |] (fun i -> float_of_int (4 + (i.(0) mod 8))) ]
+
+let fib_pc_readout =
+  ( "blocks=1219 overall=0.22374897456931911 \
+      occupancy=0.36587366694011486 pushes=420 pops=349 max_depth=11",
+    "add:1444/4576:0.31555944055944057 le:2920/13472:0.2167458432304038 \
+      sub:2888/13440:0.21488095238095239",
+    "0:421:2920 1:235:1476 2:214:1444 3:206:1444 4:143:1444" )
+
+(* A pc run driven through its lane pool, so the pool's step count is
+   visible next to the instrument's. *)
+let pc_instrumented compiled ~batch =
+  let ins = Instrument.create () in
+  let config = { Pc_vm.default_config with instrument = Some ins } in
+  let lanes =
+    Pc_vm.Lanes.create ~config compiled.Autobatch.registry compiled.Autobatch.stack
+      ~z:(Tensor.shape (List.hd batch)).(0)
+  in
+  Pc_vm.Lanes.load_batch lanes ~batch;
+  while Pc_vm.Lanes.step lanes do
+    ()
+  done;
+  Alcotest.(check int) "pc blocks = pool steps" (Pc_vm.Lanes.steps lanes)
+    (Instrument.blocks_executed ins);
+  ins
+
+let test_readout_fib_pc () =
+  check_readout (pc_instrumented fib_compiled ~batch:fib_z32) fib_pc_readout
+
+let test_readout_fib_jit () =
+  let ins = Instrument.create () in
+  let exe = Autobatch.jit fib_compiled ~batch:32 in
+  ignore (Pc_jit.run ~instrument:ins exe ~batch:fib_z32);
+  Alcotest.(check int) "jit blocks = pool steps" (Pc_jit.steps exe)
+    (Instrument.blocks_executed ins);
+  check_readout ins fib_pc_readout
+
+let test_readout_fib_local () =
+  let ins = Instrument.create () in
+  let config = { Local_vm.default_config with instrument = Some ins } in
+  ignore (Autobatch.run_local ~config fib_compiled ~batch:fib_z32);
+  check_readout ins
+    ( "blocks=713 overall=0.25596072931276298 \
+        occupancy=0.31363955119214587 pushes=0 pops=0 max_depth=0",
+      "add:1444/4576:0.31555944055944057 le:2920/9184:0.31794425087108014 \
+        sub:2888/9152:0.31555944055944057",
+      "0:287:2920 1:283:1476 2:143:1444" )
+
+let test_readout_nuts_pc () =
+  let model = Eight_schools.model () in
+  let reg, _ = Nuts_dsl.setup ~model () in
+  let compiled =
+    Autobatch.compile ~registry:reg ~input_shapes:(Nuts_dsl.input_shapes ~model)
+      (Nuts_dsl.program ())
+  in
+  let q0 = Tensor.zeros [| model.Model.dim |] in
+  let batch = Nuts_dsl.inputs ~q0 ~eps:0.3 ~n_iter:1 ~n_burn:0 ~batch:16 () in
+  let ins = pc_instrumented compiled ~batch in
+  Alcotest.(check (option (float 0.))) "grad utilization" (Some (260. /. 560.))
+    (Instrument.utilization ins ~name:"grad");
+  check_readout ins
+    ( "blocks=177 overall=0.45444915254237289 \
+        occupancy=0.51800847457627119 pushes=41 pops=41 max_depth=6",
+      "add:1151/2400:0.47958333333333331 and:49/64:0.765625 \
+        div:66/112:0.5892857142857143 dot:172/352:0.48863636363636365 \
+        exponential:16/16:1 ge:120/256:0.46875 \
+        grad:260/560:0.4642857142857143 gt:101/176:0.57386363636363635 \
+        le:123/304:0.40460526315789475 logp:68/128:0.53125 \
+        lt:528/1040:0.50769230769230766 min:31/32:0.96875 \
+        mul:1309/2720:0.48125000000000001 normal_like:16/16:1 \
+        select:83/144:0.57638888888888884 sqrt:16/16:1 sub:174/400:0.435 \
+        uniform:83/144:0.57638888888888884",
+      "35:35:260 36:28:208 20:12:71 21:8:52 34:7:52 22:7:52 37:7:52 \
+        32:4:19 25:4:19 30:4:19 27:4:13 23:4:19 24:4:19 26:4:13 9:4:49 \
+        18:3:33 15:3:33 12:3:18 1:3:32 10:3:33 11:3:18 19:2:16 17:2:2 \
+        4:2:16 14:2:15 6:2:16 3:2:16 16:2:31 13:2:15 7:2:16 8:1:16 28:1:6 \
+        0:1:16 29:1:6 2:1:16" )
+
+let readout_suite =
+  ( "instrument-readout",
+    [
+      t "fib z=32 on pc" `Quick test_readout_fib_pc;
+      t "fib z=32 on jit" `Quick test_readout_fib_jit;
+      t "fib z=32 on local" `Quick test_readout_fib_local;
+      t "eight_schools NUTS z=16 on pc" `Quick test_readout_nuts_pc;
+    ] )
+
 let jit_suite =
   ( "pc-jit",
     [
@@ -426,4 +539,4 @@ let pc_stack_suite =
       t "underflow raises" `Quick test_pc_stack_underflow;
     ] )
 
-let suites = suites @ [ jit_suite; pc_stack_suite ]
+let suites = suites @ [ jit_suite; readout_suite; pc_stack_suite ]

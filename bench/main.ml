@@ -1,23 +1,24 @@
 (* Benchmark harness.
 
-   Three layers, all run by `dune exec bench/main.exe`:
+   Two layers, all run by `dune exec bench/main.exe`:
 
-   1. Bechamel micro-benchmarks (real wall-clock, OLS-estimated time/run)
-      of the substrate and both autobatching runtimes.
-   2. The paper-figure harnesses (Figure 5, Figure 6) and the design
+   1. The paper-figure harnesses (Figure 5, Figure 6) and the design
       ablations (A1-A3), printed as the same series the paper plots.
-   3. The sharded runtime's wall-clock scaling: batched NUTS split across
-      1/2/4/8 real OCaml domains (Shard_vm), best-of-3 timings.
+   2. Gates over the simulated clock and the committed BENCH_*.json
+      baselines (serve, resil, obs, obs2, prof, fuse, sched, tenant, eff,
+      regress), plus the sharded runtime's wall-clock scaling: batched
+      NUTS split across 1/2/4/8 real OCaml domains (Shard_vm), best-of-3
+      timings.
+
+   Wall-clock rows per layer (tensor kernels, models, VM dispatch) live in
+   perfbench/, not here.
 
    Pass a subset of
-   [micro|figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress]
+   [figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress]
    as argv to run only those stages (default: all, with bench-sized
    parameters). Every stage prints a closing host-cost line
    (wall/CPU/alloc/GC, from Obs_wall).
    [--seed N] anywhere in argv reseeds every stochastic stage. *)
-
-open Bechamel
-open Toolkit
 
 (* ---------- shared fixtures ---------- *)
 
@@ -57,104 +58,6 @@ let nuts_fixture =
      in
      let batch = Nuts_dsl.inputs ~q0 ~eps ~n_iter:1 ~n_burn:0 ~batch:16 () in
      (compiled, batch))
-
-(* ---------- micro benchmarks ---------- *)
-
-let tensor_tests =
-  let a = Tensor.init [| 64; 64 |] (fun i -> float_of_int ((i.(0) * 7) + i.(1)) /. 100.) in
-  let b = Tensor.init [| 64; 64 |] (fun i -> float_of_int (i.(0) - (3 * i.(1))) /. 50.) in
-  let v = Tensor.init [| 4096 |] (fun i -> float_of_int i.(0)) in
-  let mask = Array.init 256 (fun i -> i mod 3 = 0) in
-  let rows = Tensor.init [| 256; 64 |] (fun i -> float_of_int (i.(0) + i.(1))) in
-  let dst = Tensor.copy rows in
-  let spd =
-    (* A well-conditioned SPD matrix for the Cholesky benchmark. *)
-    Tensor.add
-      (Tensor.mul_scalar (Tensor.add a (Tensor.transpose a)) 0.01)
-      (Tensor.mul_scalar (Tensor.eye 64) 100.)
-  in
-  Test.make_grouped ~name:"tensor"
-    [
-      Test.make ~name:"matmul-64x64" (Staged.stage (fun () -> Tensor.matmul a b));
-      Test.make ~name:"elementwise-add-4k" (Staged.stage (fun () -> Tensor.add v v));
-      Test.make ~name:"masked-blit-256x64"
-        (Staged.stage (fun () -> Tensor.blit_rows_masked ~mask ~src:rows ~dst));
-      Test.make ~name:"cholesky-64" (Staged.stage (fun () -> Cholesky.factor spd));
-    ]
-
-let stack_tests =
-  let s = Stacked.create ~z:256 ~elem:[| 32 |] () in
-  let mask = Array.init 256 (fun i -> i mod 2 = 0) in
-  Test.make_grouped ~name:"stacked"
-    [
-      Test.make ~name:"push-pop-256x32"
-        (Staged.stage (fun () ->
-             Stacked.push s ~mask;
-             Stacked.pop s ~mask));
-    ]
-
-let fib_jit = Autobatch.jit fib_compiled ~batch:32
-
-let vm_tests =
-  Test.make_grouped ~name:"vm"
-    [
-      Test.make ~name:"fib-local-z32"
-        (Staged.stage (fun () -> Autobatch.run_local fib_compiled ~batch:fib_batch));
-      Test.make ~name:"fib-pc-z32"
-        (Staged.stage (fun () -> Autobatch.run_pc fib_compiled ~batch:fib_batch));
-      Test.make ~name:"fib-jit-z32"
-        (Staged.stage (fun () -> Pc_jit.run fib_jit ~batch:fib_batch));
-      Test.make ~name:"fib-unbatched-z32"
-        (Staged.stage (fun () -> Autobatch.run_unbatched fib_compiled ~batch:fib_batch));
-      Test.make ~name:"compile-fib"
-        (Staged.stage (fun () ->
-             Autobatch.compile ~input_shapes:[ Shape.scalar ] fib_program));
-    ]
-
-let nuts_tests =
-  let compiled, batch = Lazy.force nuts_fixture in
-  let jit = Autobatch.jit compiled ~batch:16 in
-  Test.make_grouped ~name:"nuts"
-    [
-      Test.make ~name:"trajectory-pc-z16"
-        (Staged.stage (fun () -> Autobatch.run_pc compiled ~batch));
-      Test.make ~name:"trajectory-jit-z16"
-        (Staged.stage (fun () -> Pc_jit.run jit ~batch));
-      Test.make ~name:"trajectory-local-z16"
-        (Staged.stage (fun () -> Autobatch.run_local compiled ~batch));
-    ]
-
-let run_micro () =
-  print_endline "== Bechamel micro-benchmarks (real wall clock) ==";
-  let tests =
-    Test.make_grouped ~name:"autobatch"
-      [ tensor_tests; stack_tests; vm_tests; nuts_tests ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> t
-          | Some [] | None -> Float.nan
-        in
-        let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square ols_result) in
-        (name, ns, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  Table.print_stdout
-    ~header:[ "benchmark"; "time/run"; "r2" ]
-    ~rows:
-      (List.map
-         (fun (name, ns, r2) ->
-           [ name; Table.si (ns /. 1e9) ^ "s"; Printf.sprintf "%.3f" r2 ])
-         rows);
-  print_newline ()
 
 (* ---------- figures and ablations ---------- *)
 
@@ -1280,7 +1183,8 @@ let cost_probe name run =
    against the fresh fib-pc-z32 probe instead. *)
 let jit_fib_probe () =
   cost_probe "fib-jit-z32" (fun ~engine ~sink ->
-      ignore (Pc_jit.run ~engine ~sink fib_jit ~batch:fib_batch))
+      let exe = Autobatch.jit fib_compiled ~batch:32 in
+      ignore (Pc_jit.run ~engine ~sink exe ~batch:fib_batch))
 
 let regress_probes () =
   let pc name compiled batch =
@@ -1375,7 +1279,7 @@ let run_obs2 ?seed () =
     Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true
       ~baseline:false ()
   in
-  let recorder = Obs_span.create () in
+  let recorder = Obs_trace.create ~limit:2_000_000 () in
   let r_on, wall =
     Obs_wall.time (fun () ->
         Tenant_load.run ?seed ~n_requests ~verify:false ~keep_outputs:true
@@ -1407,7 +1311,7 @@ let run_obs2 ?seed () =
     (Obs_span.all_well_formed recorder
     && tree.Obs_span.traces = n_done
     && Obs_span.count_named recorder "request" = n_done
-    && Obs_span.dropped recorder = 0);
+    && Obs_trace.dropped recorder = 0);
   let named = Obs_span.count_named recorder in
   check "lifecycle spans"
     (Printf.sprintf "%d preempted, %d migrate, %d restore, %d hit, %d compile"
@@ -1420,7 +1324,7 @@ let run_obs2 ?seed () =
     && named "cache-hit" >= 1
     && named "compile" >= 1);
   let tmp = Filename.temp_file "autobatch-obs2" ".trace.json" in
-  Obs_span.write recorder ~path:tmp;
+  Obs_trace.write recorder ~path:tmp;
   let parse_ok =
     let contents = In_channel.with_open_text tmp In_channel.input_all in
     match Obs_json.of_string contents with
@@ -1428,8 +1332,9 @@ let run_obs2 ?seed () =
     | Error _ -> false
   in
   Sys.remove tmp;
+  let n_spans = List.length (Obs_span.spans recorder) in
   check "perfetto export"
-    (Printf.sprintf "%d spans" (Obs_span.length recorder))
+    (Printf.sprintf "%d spans" n_spans)
     "re-parses" parse_ok;
   check "host wall (observed run)" (Obs_wall.summary wall) "nonzero"
     (wall.Obs_wall.wall_s > 0.);
@@ -1476,7 +1381,7 @@ let run_obs2 ?seed () =
                 (which runs 10k requests and does not rewrite this file)" );
            ("requests", Obs_json.Int n_requests);
            ("completions", Obs_json.Int n_done);
-           ("spans", Obs_json.Int (Obs_span.length recorder));
+           ("spans", Obs_json.Int n_spans);
            ("span_trees", Obs_span.stats_to_json tree);
            ( "lifecycle",
              Obs_json.Obj
@@ -1662,8 +1567,8 @@ let () =
   let stages =
     match stages with
     | [] ->
-      [ "micro"; "figure5"; "figure6"; "ablations"; "shard"; "serve"; "resil"; "obs";
-        "obs2"; "prof"; "fuse"; "sched"; "tenant"; "eff"; "regress" ]
+      [ "figure5"; "figure6"; "ablations"; "shard"; "serve"; "resil"; "obs"; "obs2";
+        "prof"; "fuse"; "sched"; "tenant"; "eff"; "regress" ]
     | picked -> picked
   in
   List.iter
@@ -1673,7 +1578,6 @@ let () =
       let probe = Obs_wall.probe () in
       Obs_wall.start probe;
       (match stage with
-      | "micro" -> run_micro ()
       | "figure5" -> run_figure5 ?seed ()
       | "figure6" -> run_figure6 ?seed ()
       | "ablations" -> run_ablations ?seed ()
@@ -1691,7 +1595,7 @@ let () =
       | other ->
         Printf.eprintf
           "unknown stage %S (expected \
-           micro|figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress)\n"
+           figure5|figure6|ablations|shard|serve|resil|obs|obs2|prof|fuse|sched|tenant|eff|regress)\n"
           other;
         exit 1);
       Printf.printf "[%s] %s\n\n%!" stage (Obs_wall.summary (Obs_wall.stop probe)))

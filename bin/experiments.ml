@@ -769,7 +769,9 @@ let tenants_cmd =
     let pattern = parse_pattern pattern in
     (* --trace records the fair arm's span stream (request trees plus
        the operational instants) and writes a Perfetto document. *)
-    let recorder = Option.map (fun _ -> Obs_span.create ()) trace in
+    let recorder =
+      Option.map (fun _ -> Obs_trace.create ~limit:2_000_000 ()) trace
+    in
     let r =
       Tenant_load.run ?seed ~pattern ~n_requests:requests ~n_tenants:tenants
         ~n_programs:programs ?cache_capacity:cache ~load ~mesh_size:mesh
@@ -781,14 +783,14 @@ let tenants_cmd =
     let span_fields =
       match (trace, recorder) with
       | Some path, Some rec_ ->
-        Obs_span.write rec_ ~path;
+        Obs_trace.write rec_ ~path;
         [
           ( "spans",
             Obs_json.Obj
               [
                 ("path", Obs_json.Str path);
-                ("recorded", Obs_json.Int (Obs_span.length rec_));
-                ("dropped", Obs_json.Int (Obs_span.dropped rec_));
+                ("recorded", Obs_json.Int (List.length (Obs_span.spans rec_)));
+                ("dropped", Obs_json.Int (Obs_trace.dropped rec_));
                 ("trees", Obs_span.stats_to_json (Obs_span.validate rec_));
               ] );
         ]
@@ -800,7 +802,7 @@ let tenants_cmd =
         match (trace, recorder) with
         | Some path, Some rec_ ->
           Printf.printf "trace: %d spans, %d request trees (%s) -> %s\n"
-            (Obs_span.length rec_)
+            (List.length (Obs_span.spans rec_))
             (Obs_span.count_named rec_ "request")
             (if Obs_span.all_well_formed rec_ then "all well-formed"
              else "MALFORMED")

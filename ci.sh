@@ -1,7 +1,8 @@
 #!/bin/sh
 # Local CI: everything a commit must pass, in the order it fails fastest.
 #
-#   ./ci.sh         # build + fast test tier + obs/prof smokes + format check
+#   ./ci.sh         # build + fast test tier + bench gates + format check
+#                   # + baseline drift check
 #   ./ci.sh --fast  # same (the default tier, spelled out)
 #   ./ci.sh --full  # same, but the complete test suite instead of the fast tier
 #
@@ -91,6 +92,18 @@ dune exec bench/main.exe -- serve
 step "bench resil baseline"
 dune exec bench/main.exe -- resil
 
+# Simulated cost is a contract: the regress stage re-runs the
+# fixed-seed probes (fib/NUTS under the pc VM, a 1k-request tenant
+# trace) and exits nonzero if simulated cost or superstep counts
+# regressed against the committed BENCH_obs2.json baseline. It also runs
+# fib z=32 through Pc_jit and exits nonzero unless the jit's precompiled
+# cost tables give exactly the simulated seconds and superstep count of
+# the fresh fib-pc-z32 probe (a check only, not a committed probe). It
+# runs before obs2, which in the full tier rewrites the probes it diffs
+# against.
+step "bench regress"
+dune exec bench/main.exe -- regress
+
 # Request-scoped tracing must also be free: the obs2 stage replays the
 # tenant trace bare and with a span recorder + SLO burn-rate monitor
 # attached, and exits nonzero unless the observed run is bitwise
@@ -106,16 +119,6 @@ if [ "$tier" = "@runtest-fast" ]; then
 else
   dune exec bench/main.exe -- obs2
 fi
-
-# Simulated cost is a contract: the regress stage re-runs the
-# fixed-seed probes (fib/NUTS under the pc VM, a 1k-request tenant
-# trace) and exits nonzero if simulated cost or superstep counts
-# regressed against the committed BENCH_obs2.json baseline. It also runs
-# fib z=32 through Pc_jit and exits nonzero unless the jit's precompiled
-# cost tables give exactly the simulated seconds and superstep count of
-# the fresh fib-pc-z32 probe (a check only, not a committed probe).
-step "bench regress"
-dune exec bench/main.exe -- regress
 
 # The handler-DSL frontend must elaborate to exactly the programs the
 # hand-written models used to be: the eff stage exits nonzero unless
@@ -142,6 +145,15 @@ if [ -f .ocamlformat ]; then
   dune build @fmt
 else
   step "format check skipped (no .ocamlformat)"
+fi
+
+# Baselines must not drift: the fuse and sched stages (both tiers) and
+# the full-tier tenant, obs2 and eff stages rewrite their committed
+# BENCH_*.json, so a changed number shows up here as an unstaged diff.
+# An intentional re-baseline is staged (git add) before running ci.sh.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  step "baseline drift"
+  git diff --exit-code -- 'BENCH_*.json'
 fi
 
 printf '\nci.sh: all checks passed\n'

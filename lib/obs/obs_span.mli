@@ -3,9 +3,9 @@
 
     Emitters (the tenant server, {!Prog_cache}, ...) publish completed
     spans on the simulated clock as ordinary sink events. This module
-    collects them into a bounded recorder, checks that every request's
-    spans form one properly-nested tree, and exports Perfetto
-    track-per-tenant traces plus a flat JSON document.
+    records them into an {!Obs_trace} recorder (which bounds, counts
+    drops, and exports them on one Perfetto thread per tenant track) and
+    checks that every request's spans form one properly-nested tree.
 
     Everything is deterministic: span ids, timestamps, and ordering all
     come from the emitter's simulated clock and deterministic counters,
@@ -44,24 +44,16 @@ type span = {
   sp_t1 : float;
 }
 
-type t
+val sink : Obs_trace.t -> Obs_sink.t
+(** Records {!Obs_sink.event.Span} events into the recorder; every other
+    event is dropped, not recorded, so this composes with
+    {!Obs_sink.fanout} next to a tracer or profiler and a sink carrying
+    every VM and engine event cannot exhaust the recorder's bound. *)
 
-val create : ?limit:int -> unit -> t
-(** Bounded recorder; spans past [limit] (default 2M) are counted in
-    {!dropped} and discarded. Thread-safe (shard domains share it). *)
+val spans : Obs_trace.t -> span list
+(** The recorder's [Span] entries, in recording order. *)
 
-val sink : t -> Obs_sink.t
-(** Collects {!Obs_sink.event.Span} events; every other event is
-    ignored, so this composes with {!Obs_sink.fanout} next to a tracer
-    or profiler. *)
-
-val record : t -> span -> unit
-val spans : t -> span list  (** in recording order *)
-
-val length : t -> int
-val dropped : t -> int
-
-val count_named : t -> string -> int
+val count_named : Obs_trace.t -> string -> int
 (** Spans with exactly this name (the gate counts "preempted",
     "migrate", "restore"). *)
 
@@ -79,19 +71,10 @@ type tree_stats = {
   inverted : int;
 }
 
-val validate : t -> tree_stats
+val validate : Obs_trace.t -> tree_stats
 
-val all_well_formed : t -> bool
+val all_well_formed : Obs_trace.t -> bool
 (** Every request trace is a single properly-nested tree and no span is
     inverted. *)
 
-val to_chrome : ?track_names:(int * string) list -> t -> Obs_json.t
-(** Perfetto/Chrome trace-event document: one thread per track ("X"
-    complete events, "i" instants), thread names from [track_names]
-    (default ["tenant %d"], ["ops"] for {!ops_track}). *)
-
-val to_json : t -> Obs_json.t
-(** Flat list of span records, for {!Obs_report} embedding. *)
-
 val stats_to_json : tree_stats -> Obs_json.t
-val write : t -> path:string -> unit  (** {!to_chrome} to a file. *)

@@ -64,11 +64,6 @@ let dropped t = Mutex.protect t.mutex (fun () -> t.dropped)
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 
-(* Step events from shard [k] of track [n] render as Chrome thread
-   [n * shard_stride + k], so per-shard superstep timelines don't
-   interleave. All other events sit on the track's base thread. *)
-let shard_stride = 64
-
 let us ts = ts *. 1e6
 
 let chrome_event ~name ~cat ~ph ~tid ~ts ?dur ?(args = []) () =
@@ -98,6 +93,19 @@ let launch_cat = function
   | Obs_sink.Kernel -> "kernel"
   | Obs_sink.Fused_block -> "fused"
 
+(* The Chrome thread an entry renders on. Step/Occupancy events from
+   shard [k] of track [n] get their own thread, so per-shard superstep
+   timelines don't interleave; other events sit on the track's shard-0
+   thread. A span renders on its own track's thread ("tenant N", or
+   "ops" for the negative operational track), whatever track recorded it. *)
+type thread = Shard of int * int | Span_track of int
+
+let thread_of e =
+  match e.ev with
+  | Obs_sink.Step { shard; _ } | Obs_sink.Occupancy { shard; _ } -> Shard (e.track, shard)
+  | Obs_sink.Span { track; _ } -> Span_track track
+  | _ -> Shard (e.track, 0)
+
 let to_chrome t =
   let entries = entries t in
   let tracks = tracks t in
@@ -106,52 +114,65 @@ let to_chrome t =
     | Some name -> name
     | None -> Printf.sprintf "track%d" id
   in
-  (* Group entries per Chrome thread, preserving recording order. *)
-  let tid_of e =
-    match e.ev with
-    | Obs_sink.Step { shard; _ } | Obs_sink.Occupancy { shard; _ } ->
-      (e.track * shard_stride) + shard
-    | _ -> e.track * shard_stride
-  in
-  let by_tid : (int, entry list ref) Hashtbl.t = Hashtbl.create 16 in
-  let tid_order = ref [] in
+  (* Group entries per thread, preserving recording order. *)
+  let by_thread : (thread, entry list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun e ->
-      let tid = tid_of e in
-      match Hashtbl.find_opt by_tid tid with
+      let th = thread_of e in
+      match Hashtbl.find_opt by_thread th with
       | Some cell -> cell := e :: !cell
-      | None ->
-        Hashtbl.add by_tid tid (ref [ e ]);
-        tid_order := tid :: !tid_order)
+      | None -> Hashtbl.add by_thread th (ref [ e ]))
     entries;
-  let tids = List.sort compare !tid_order in
+  let threads = Hashtbl.fold (fun th _ acc -> th :: acc) by_thread [] in
+  (* Track [n]'s shard [k] is tid [n * stride + k], the stride (at least
+     64) clearing the largest shard recorded; span tracks take the tids
+     after every recorded thread, in ascending track order. *)
+  let stride =
+    List.fold_left
+      (fun acc -> function Shard (_, k) -> max acc (k + 1) | Span_track _ -> acc)
+      64 threads
+  in
+  let shard_tids =
+    List.filter_map
+      (function Shard (n, k) -> Some ((n * stride) + k) | Span_track _ -> None)
+      threads
+  in
+  let first_span_tid = List.fold_left (fun acc tid -> max acc (tid + 1)) 0 shard_tids in
+  let span_tids =
+    List.filter_map (function Span_track tr -> Some tr | Shard _ -> None) threads
+    |> List.sort compare
+    |> List.mapi (fun i tr -> (tr, first_span_tid + i))
+  in
+  let tid_of = function
+    | Shard (n, k) -> (n * stride) + k
+    | Span_track tr -> List.assoc tr span_tids
+  in
+  let name_of = function
+    | Shard (n, 0) -> track_name n
+    | Shard (n, k) -> Printf.sprintf "%s/shard%d" (track_name n) k
+    | Span_track tr -> if tr < 0 then "ops" else Printf.sprintf "tenant %d" tr
+  in
+  let threads =
+    List.sort compare (List.map (fun th -> (tid_of th, th)) threads)
+  in
   let meta =
     List.map
-      (fun tid ->
-        let base = tid / shard_stride and shard = tid mod shard_stride in
-        let name =
-          if shard = 0 then track_name base
-          else Printf.sprintf "%s/shard%d" (track_name base) shard
-        in
+      (fun (tid, th) ->
         Obs_json.Obj
           [
             ("name", Obs_json.Str "thread_name");
             ("ph", Obs_json.Str "M");
             ("pid", Obs_json.Int 0);
             ("tid", Obs_json.Int tid);
-            ("args", Obs_json.Obj [ ("name", Obs_json.Str name) ]);
+            ("args", Obs_json.Obj [ ("name", Obs_json.Str (name_of th)) ]);
           ])
-      tids
+      threads
   in
-  let events_of_tid tid =
-    let entries = List.rev !(Hashtbl.find by_tid tid) in
+  let events_of_thread (tid, th) =
+    let entries = List.rev !(Hashtbl.find by_thread th) in
     (* Chrome counters are keyed by (pid, name), so the counter name must
        carry the thread label for distinct tracks/shards to stay apart. *)
-    let counter_label =
-      let base = tid / shard_stride and shard = tid mod shard_stride in
-      if shard = 0 then track_name base
-      else Printf.sprintf "%s/shard%d" (track_name base) shard
-    in
+    let counter_label = name_of th in
     (* Superstep spans: each Step closes the previous block's span and
        opens the next; the final span closes at the thread's last
        timestamp. *)
@@ -316,7 +337,7 @@ let to_chrome t =
     close_span !last_ts;
     List.rev !out
   in
-  let events = meta @ List.concat_map events_of_tid tids in
+  let events = meta @ List.concat_map events_of_thread threads in
   Obs_json.Obj
     [
       ("traceEvents", Obs_json.List events);

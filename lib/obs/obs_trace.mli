@@ -8,7 +8,9 @@
     request lifecycle) are stamped from their payload instead of the clock.
     Recording is mutex-protected, so sinks for different shards may fire
     from different domains; {!Obs_sink.Step} events are split onto
-    per-shard Chrome threads at export time. *)
+    per-shard Chrome threads at export time. This is the one bounded
+    recorder and Chrome exporter: request spans ({!Obs_span.sink})
+    record into it too. *)
 
 type t
 
@@ -44,6 +46,11 @@ val to_chrome : t -> Obs_json.t
     reject/checkpoint/restore, and C counter tracks from
     {!Obs_sink.Occupancy} events (stacked active/masked/halted lane
     counts plus a utilization-percent series, per track/shard).
+    Every (track, shard) pair gets its own thread. A {!Obs_sink.Span}
+    renders on a thread for the span's own track — "tenant N", or "ops"
+    for the negative operational track — as an X complete event
+    ([t1 > t0]) or an instant, with [trace]/[span]/[parent] args; span
+    threads take tids after every recorded track's threads.
     Timestamps are microseconds. *)
 
 val to_chrome_string : t -> string

@@ -108,7 +108,7 @@ val stats : t -> stats
 
 val now : t -> float
 (** The server clock: simulated seconds when the VM config has an engine,
-    supersteps otherwise. The natural [clock] for an [Obs.Trace.sink]
+    supersteps otherwise. The natural [clock] for an [Obs_trace.sink]
     wired into [config.vm]. *)
 
 (** Plain-data checkpoint of one completion. *)

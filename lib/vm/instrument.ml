@@ -27,7 +27,7 @@ type t = {
   mutable push_lanes : int;
   mutable pop_lanes : int;
   mutable max_depth : int;
-  mutable live_total : float;     (* Σ live over all record_live samples *)
+  mutable live_total : float;     (* Σ live over all occupancy samples *)
   mutable live_lanes_total : float;  (* Σ lanes over the same samples *)
   mutable live_samples : int;
   gauge : gauge;
@@ -206,24 +206,6 @@ let record_prim t ~name ~useful ~issued =
   s.useful <- s.useful + useful;
   s.issued <- s.issued + issued
 
-let record_block ?block t ~active ~batch =
-  t.blocks <- t.blocks + 1;
-  t.active_total <- t.active_total + active;
-  t.batch_total <- t.batch_total + batch;
-  match block with
-  | None -> ()
-  | Some b ->
-    let s =
-      match Hashtbl.find_opt t.per_block b with
-      | Some s -> s
-      | None ->
-        let s = { execs = 0; active = 0 } in
-        Hashtbl.add t.per_block b s;
-        s
-    in
-    s.execs <- s.execs + 1;
-    s.active <- s.active + active
-
 let record_push t ~lanes =
   t.pushes <- t.pushes + 1;
   t.push_lanes <- t.push_lanes + lanes
@@ -244,27 +226,34 @@ let gauge_compact g =
   g.used <- gauge_buckets / 2;
   g.width <- g.width * 2
 
-let record_live t ~live ~lanes =
-  t.live_total <- t.live_total +. float_of_int live;
-  t.live_lanes_total <- t.live_lanes_total +. float_of_int lanes;
-  t.live_samples <- t.live_samples + 1;
-  let g = t.gauge in
-  if g.fill = 0 then begin
-    if g.used = gauge_buckets then gauge_compact g;
-    g.used <- g.used + 1
-  end;
-  let i = g.used - 1 in
-  g.live_sum.(i) <- g.live_sum.(i) +. float_of_int live;
-  g.lanes_sum.(i) <- g.lanes_sum.(i) +. float_of_int lanes;
-  g.fill <- (g.fill + 1) mod g.width
-
-(* The event-driven door to the gauge: the VMs emit one
-   [Obs_sink.Occupancy] per superstep and feed it both to the user sink
-   and here, so the gauge and any profiler sink see the same numbers by
-   construction (no parallel counting path). *)
+(* The one door for per-superstep counts: the VMs announce each
+   superstep with one [Obs_sink.Occupancy] (Vm_util.superstep) and feed
+   the same event to the user sink and here, so the block totals, the
+   per-block profile, the live-lane gauge and any profiler sink read the
+   same numbers by construction. *)
 let observe_occupancy t ev =
   match ev with
-  | Obs_sink.Occupancy { live; total; _ } -> record_live t ~live ~lanes:total
+  | Obs_sink.Occupancy { block; active; live; total; _ } ->
+    t.blocks <- t.blocks + 1;
+    t.active_total <- t.active_total + active;
+    t.batch_total <- t.batch_total + total;
+    (match Hashtbl.find_opt t.per_block block with
+    | Some s ->
+      s.execs <- s.execs + 1;
+      s.active <- s.active + active
+    | None -> Hashtbl.add t.per_block block { execs = 1; active });
+    t.live_total <- t.live_total +. float_of_int live;
+    t.live_lanes_total <- t.live_lanes_total +. float_of_int total;
+    t.live_samples <- t.live_samples + 1;
+    let g = t.gauge in
+    if g.fill = 0 then begin
+      if g.used = gauge_buckets then gauge_compact g;
+      g.used <- g.used + 1
+    end;
+    let i = g.used - 1 in
+    g.live_sum.(i) <- g.live_sum.(i) +. float_of_int live;
+    g.lanes_sum.(i) <- g.lanes_sum.(i) +. float_of_int total;
+    g.fill <- (g.fill + 1) mod g.width
   | _ -> ()
 
 let live_samples t = t.live_samples

@@ -19,26 +19,19 @@ val merge : into:t -> t -> unit
 
 val record_prim : t -> name:string -> useful:int -> issued:int -> unit
 
-(** [record_block ?block t ~active ~batch] records one executed block;
-    [block] (its index) additionally feeds the per-block profile. *)
-val record_block : ?block:int -> t -> active:int -> batch:int -> unit
 val record_push : t -> lanes:int -> unit
 val record_pop : t -> lanes:int -> unit
 val record_depth : t -> int -> unit
 (** Observe a stack depth; the maximum is retained. *)
 
-val record_live : t -> live:int -> lanes:int -> unit
-(** Observe the live-lane occupancy at one superstep: [live] lanes still
-    running out of [lanes] batch slots. Feeds both the aggregate
-    {!mean_occupancy} and a bounded {!occupancy_series} time series
-    (adjacent samples merge as the run grows, so memory stays constant). *)
-
 val observe_occupancy : t -> Obs_sink.event -> unit
-(** Feed one {!Obs_sink.Occupancy} event into the live-lane gauge
-    ([record_live ~live ~lanes:total]); every other event is ignored. The
-    VMs route their per-superstep occupancy through this so the gauge and
-    any attached profiler sink read the same event — there is no separate
-    counting path. *)
+(** Count one executed superstep from its {!Obs_sink.Occupancy} event:
+    the block count, Σ active and Σ [total] (for {!overall_utilization}),
+    the per-block profile ({!block_stats}), and the live-lane gauge
+    ({!mean_occupancy}, {!occupancy_series}; adjacent samples merge as
+    the run grows, so memory stays constant). Every other event is
+    ignored. The VMs feed it the same event their sink receives
+    ({!Vm_util.superstep}), so there is no separate counting path. *)
 
 val utilization : t -> name:string -> float option
 (** useful/issued lane fraction for one primitive; [None] if never run. *)
@@ -47,17 +40,17 @@ val overall_utilization : t -> float
 (** Σ active / Σ batch over all executed blocks (1.0 when never run). *)
 
 val mean_occupancy : t -> float
-(** Σ live / Σ lanes over all {!record_live} samples (1.0 when never
+(** Σ live / Σ total over all observed supersteps (1.0 when never
     sampled). Distinct from {!overall_utilization}: a lane is *live* until
     it halts, even while waiting out a block it does not execute. *)
 
 val live_samples : t -> int
-(** Number of {!record_live} observations. *)
+(** Number of observed supersteps. *)
 
 val occupancy_series : t -> (int * float) list
 (** The live-lane gauge as [(first_step, mean_occupancy)] buckets in step
     order — at most a few hundred points spanning the whole run. Empty if
-    {!record_live} was never called. Not combined by {!merge} (shards run
+    nothing was observed. Not combined by {!merge} (shards run
     on independent step axes); the merge target keeps its own series. *)
 
 val prim_issued : t -> name:string -> int
@@ -69,8 +62,7 @@ val max_depth : t -> int
 
 val block_stats : t -> (int * int * int) list
 (** Per-block profile, sorted by execution count descending:
-    [(block_index, executions, total_active_lanes)]. Only populated when
-    the VM passes [?block] to {!record_block}. *)
+    [(block_index, executions, total_active_lanes)]. *)
 
 (** Plain-data checkpoint of an instrument. Entry lists are sorted by key,
     so images of equal states are structurally equal ([=]); the resilience

@@ -124,29 +124,11 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
            occupancy event counts lanes live in *this* frame: during a
            host-recursion call, lanes outside the call are idle by
            construction, which is exactly the waste the profiler should
-           see. *)
-        (match (config.sink, config.instrument) with
-        | None, None -> ()
-        | sink, instrument ->
-          let occ =
-            Obs_sink.Occupancy
-              {
-                shard = 0;
-                step = !steps;
-                block = i;
-                active = counts.(i);
-                live = !live;
-                total = z;
-              }
-          in
-          (match sink with
-          | None -> ()
-          | Some sink ->
-            sink (Obs_sink.Step { shard = 0; step = !steps; block = i });
-            sink occ);
-          Option.iter
-            (fun ins -> Instrument.observe_occupancy ins occ)
-            instrument);
+           see. The instrument's per-block profile therefore keys on
+           function-local indices; the merged PC program's profile is the
+           one with global ids. *)
+        Vm_util.superstep config.sink config.instrument ~step:!steps ~block:i
+          ~active:counts.(i) ~live:!live ~total:z;
         last := i;
         let lmask = Array.init z (fun b -> active.(b) && pc.(b) = i) in
         let members = Vm_util.indices_of_mask lmask in
@@ -273,11 +255,6 @@ let run_active ?(config = default_config) reg (p : Cfg.program) ~batch ~active =
             Engine.charge_block eng ~ops:(List.rev !charged_ops)
               ~control_ops:!control_ops ~traffic_bytes:!traffic)
           config.engine;
-        (* Per-block profiling keys on the function-local block index;
-           the merged PC program's profile is the one with global ids. *)
-        Option.iter
-          (fun ins -> Instrument.record_block ~block:i ins ~active:n_active ~batch:z)
-          config.instrument;
         vm_loop ()
     in
     vm_loop ();

@@ -602,30 +602,10 @@ module Lanes = struct
          that raises (an injected fault) aborts the superstep whole —
          never a half-applied block. The occupancy event follows under the
          same rule; it doubles as the profiler's attribution context for
-         the engine spans this block is about to charge, and feeds the
-         instrument's live-lane gauge (same event, no parallel count). *)
-      (match (config.sink, config.instrument) with
-      | None, None -> ()
-      | sink, instrument ->
-        let occ =
-          Obs_sink.Occupancy
-            {
-              shard = 0;
-              step = t.steps;
-              block = i;
-              active = t.counts.(i);
-              live = !live;
-              total = z;
-            }
-        in
-        (match sink with
-        | None -> ()
-        | Some sink ->
-          sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
-          sink occ);
-        Option.iter
-          (fun ins -> Instrument.observe_occupancy ins occ)
-          instrument);
+         the engine spans this block is about to charge, and is the event
+         the instrument counts the block from (no parallel count). *)
+      Vm_util.superstep config.sink config.instrument ~step:t.steps ~block:i
+        ~active:t.counts.(i) ~live:!live ~total:z;
       t.last <- i;
       let mask = Array.init z (fun b -> pc.Pc_stack.top.(b) = i) in
       let members = Vm_util.indices_of_mask mask in
@@ -729,9 +709,6 @@ module Lanes = struct
           Engine.charge_block eng ~ops:(List.rev t.charged_ops)
             ~control_ops:!control_ops ~traffic_bytes:t.traffic)
         config.engine;
-      Option.iter
-        (fun ins -> Instrument.record_block ~block:i ins ~active:n_active ~batch:z)
-        config.instrument;
       true
 
   (* ---- Precompiled blocks (the Pc_jit executor) ----
@@ -968,19 +945,8 @@ module Lanes = struct
       t.steps <- t.steps + 1;
       if t.steps > max_steps then raise Step_limit_exceeded;
       (* As in [step]: the events fire before the block runs. *)
-      (match ((sink : Obs_sink.t option), instrument) with
-      | None, None -> ()
-      | sink, instrument ->
-        let occ =
-          Obs_sink.Occupancy
-            { shard = 0; step = t.steps; block = i; active = t.counts.(i); live = !live; total = z }
-        in
-        (match sink with
-        | None -> ()
-        | Some sink ->
-          sink (Obs_sink.Step { shard = 0; step = t.steps; block = i });
-          sink occ);
-        Option.iter (fun ins -> Instrument.observe_occupancy ins occ) instrument);
+      Vm_util.superstep sink instrument ~step:t.steps ~block:i ~active:t.counts.(i)
+        ~live:!live ~total:z;
       t.last <- i;
       for b = 0 to z - 1 do
         c.mask.(b) <- top.(b) = i
@@ -995,10 +961,6 @@ module Lanes = struct
           Engine.charge_block eng ~ops:blk.static_ops ~control_ops:blk.control_ops
             ~traffic_bytes:blk.static_traffic)
         engine;
-      Option.iter
-        (fun ins ->
-          Instrument.record_block ~block:i ins ~active:(Array.length !(c.active)) ~batch:z)
-        instrument;
       true
 end
 

@@ -44,7 +44,7 @@ type config = {
           and the mesh's collective phases are reported as [Collective]
           spans after the shards join. Shards run on separate domains, so
           the sink fires concurrently — it must be domain-safe (an
-          [Obs.Trace.sink] is; it locks). Raising from a [Step] aborts
+          [Obs_trace.sink] is; it locks). Raising from a [Step] aborts
           that shard's superstep, the fault-injection seam. Default
           [None]. *)
 }

@@ -1,4 +1,4 @@
-(* Shared helpers for the two autobatching runtimes. *)
+(* Shared helpers for the autobatching runtimes. *)
 
 let bytes_per_elem = 8.
 
@@ -28,3 +28,21 @@ let stack_move_bytes ~lanes ~row = 2. *. bytes_per_elem *. float_of_int (lanes *
 let elem_shape_of_batched t = Shape.drop_outer (Tensor.shape t)
 
 let all_members z = Array.init z (fun i -> i)
+
+(* The one place a runtime announces a superstep. [Step] and [Occupancy]
+   are built here, once, and only when someone listens; the sink sees
+   both before the instrument counts, so a sink that raises on [Step]
+   aborts the superstep before anything observed it. *)
+let superstep sink instrument ~step ~block ~active ~live ~total =
+  match (sink, instrument) with
+  | None, None -> ()
+  | sink, instrument -> (
+    let occ = Obs_sink.Occupancy { shard = 0; step; block; active; live; total } in
+    (match sink with
+    | None -> ()
+    | Some sink ->
+      sink (Obs_sink.Step { shard = 0; step; block });
+      sink occ);
+    match instrument with
+    | None -> ()
+    | Some ins -> Instrument.observe_occupancy ins occ)

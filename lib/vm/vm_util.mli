@@ -1,5 +1,5 @@
-(** Shared helpers for the autobatching runtimes (mask bookkeeping and the
-    cost model's byte accounting). *)
+(** Shared helpers for the autobatching runtimes (mask bookkeeping, the
+    cost model's byte accounting, and the superstep announcement). *)
 
 val bytes_per_elem : float
 (** Every element is a float64. *)
@@ -22,3 +22,19 @@ val elem_shape_of_batched : Tensor.t -> Shape.t
 
 val all_members : int -> int array
 (** [[|0; 1; ...; z-1|]] — the identity lane-to-member map. *)
+
+val superstep :
+  Obs_sink.t option ->
+  Instrument.t option ->
+  step:int ->
+  block:int ->
+  active:int ->
+  live:int ->
+  total:int ->
+  unit
+(** Announce one scheduled superstep, before its block runs: the sink
+    receives [Step {shard = 0; step; block}] then
+    [Occupancy {shard = 0; step; block; active; live; total}], and the
+    instrument then counts the same [Occupancy]
+    ({!Instrument.observe_occupancy}). A sink that raises aborts before
+    the instrument counts. With neither attached, nothing is built. *)

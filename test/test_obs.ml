@@ -200,6 +200,50 @@ let test_trace_limit_and_csv () =
   let csv = Obs_trace.to_csv tr in
   Alcotest.(check bool) "csv has rows" true (String.length csv > 0)
 
+(* Shard indices are unbounded (a 65-device mesh tags shard 64), so a
+   wide shard of one track must not land on the next track's thread. *)
+let test_trace_wide_shards () =
+  let tr = Obs_trace.create () in
+  let a = Obs_trace.track tr "a" in
+  let b = Obs_trace.track tr "b" in
+  Obs_trace.record tr ~track:a ~ts:0. (Obs_sink.Step { shard = 64; step = 1; block = 0 });
+  Obs_trace.record tr ~track:b ~ts:1. (Obs_sink.Step { shard = 0; step = 1; block = 0 });
+  let events =
+    match Obs_json.member "traceEvents" (Obs_trace.to_chrome tr) with
+    | Some (Obs_json.List evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let field k ev = Obs_json.member k ev in
+  let threads =
+    List.filter_map
+      (fun ev ->
+        match (field "ph" ev, field "tid" ev, field "args" ev) with
+        | Some (Obs_json.Str "M"), Some (Obs_json.Int tid), Some args -> (
+          match Obs_json.member "name" args with
+          | Some (Obs_json.Str name) -> Some (name, tid)
+          | _ -> None)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list string)) "one thread per (track, shard)" [ "a/shard64"; "b" ]
+    (List.sort compare (List.map fst threads));
+  Alcotest.(check bool) "distinct tids" true
+    (List.assoc "a/shard64" threads <> List.assoc "b" threads);
+  (* Each thread opens and closes its own superstep. *)
+  let on_thread name ph =
+    List.length
+      (List.filter
+         (fun ev ->
+           field "ph" ev = Some (Obs_json.Str ph)
+           && field "tid" ev = Some (Obs_json.Int (List.assoc name threads)))
+         events)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check (pair int int)) (name ^ " B/E") (1, 1)
+        (on_thread name "B", on_thread name "E"))
+    [ "a/shard64"; "b" ]
+
 (* ---------- trace: a live run exports a well-formed document ---------- *)
 
 let test_live_trace_well_formed () =
@@ -371,6 +415,7 @@ let suites =
         t "histogram edge cases" `Quick test_histogram_zero_and_empty;
         t "golden chrome export" `Quick test_trace_golden;
         t "trace limit and csv" `Quick test_trace_limit_and_csv;
+        t "wide shards keep their own thread" `Quick test_trace_wide_shards;
         t "live trace well-formed" `Quick test_live_trace_well_formed;
         t "sink off/on pc" `Quick test_sink_off_on_pc;
         t "sink off/on jit" `Quick test_sink_off_on_jit;

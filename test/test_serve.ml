@@ -441,11 +441,15 @@ let test_server_closed_loop () =
 
 (* ---------- instrument gauge and engine counters ---------- *)
 
+(* One superstep's occupancy event, as the VMs announce it. *)
+let occupancy ~step ~active ~live ~total =
+  Obs_sink.Occupancy { shard = 0; step; block = 0; active; live; total }
+
 let test_occupancy_gauge () =
   let ins = Instrument.create () in
   check_f "no samples reads full" 1. (Instrument.mean_occupancy ins);
-  for _ = 1 to 10 do
-    Instrument.record_live ins ~live:2 ~lanes:4
+  for i = 1 to 10 do
+    Instrument.observe_occupancy ins (occupancy ~step:i ~active:1 ~live:2 ~total:4)
   done;
   check_f "mean over samples" 0.5 (Instrument.mean_occupancy ins);
   Alcotest.(check int) "samples counted" 10 (Instrument.live_samples ins);
@@ -458,7 +462,8 @@ let test_occupancy_gauge_compaction () =
   (* Twice the bucket budget of samples: the gauge must downsample, keep
      the step axis anchored at the start, and preserve the mean. *)
   for i = 1 to 1024 do
-    Instrument.record_live ins ~live:(if i <= 512 then 4 else 0) ~lanes:4
+    let live = if i <= 512 then 4 else 0 in
+    Instrument.observe_occupancy ins (occupancy ~step:i ~active:live ~live ~total:4)
   done;
   let series = Instrument.occupancy_series ins in
   Alcotest.(check bool) "bounded" true (List.length series <= 256);

@@ -6,75 +6,70 @@
    zero simulated time, every completion gets exactly one tree — are
    gated by `bench obs2`; this file covers the unit contracts. *)
 
-let span ?(trace = 0) ?(track = 0) ~id ?(parent = Obs_span.no_parent) ~name t0
-    t1 =
-  {
-    Obs_span.sp_trace = trace;
-    sp_id = id;
-    sp_parent = parent;
-    sp_track = track;
-    sp_name = name;
-    sp_t0 = t0;
-    sp_t1 = t1;
-  }
+(* Record one completed span the way emitters publish it: as a sink
+   event, through the span sink. *)
+let record t ?(trace = 0) ?(track = 0) ~id ?(parent = Obs_span.no_parent) ~name
+    t0 t1 =
+  Obs_span.sink t (Obs_sink.Span { trace; span = id; parent; track; name; t0; t1 })
+
+let n_spans t = List.length (Obs_span.spans t)
 
 (* ---------- Obs_span ---------- *)
 
 let test_span_tree_well_formed () =
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~name:"queue" 0. 4.);
-  Obs_span.record t (span ~id:2 ~parent:0 ~name:"service" 4. 10.);
-  Obs_span.record t (span ~id:3 ~parent:2 ~name:"preempted" 5. 7.);
+  let t = Obs_trace.create () in
+  record t ~id:0 ~name:"request" 0. 10.;
+  record t ~id:1 ~parent:0 ~name:"queue" 0. 4.;
+  record t ~id:2 ~parent:0 ~name:"service" 4. 10.;
+  record t ~id:3 ~parent:2 ~name:"preempted" 5. 7.;
   let st = Obs_span.validate t in
   Alcotest.(check int) "one trace" 1 st.Obs_span.traces;
   Alcotest.(check int) "well formed" 1 st.Obs_span.well_formed;
   Alcotest.(check bool) "all well formed" true (Obs_span.all_well_formed t);
   Alcotest.(check int) "count request" 1 (Obs_span.count_named t "request");
   Alcotest.(check int) "count preempted" 1 (Obs_span.count_named t "preempted");
-  Alcotest.(check int) "length" 4 (Obs_span.length t)
+  Alcotest.(check int) "length" 4 (n_spans t)
 
 let test_span_tree_violations () =
   (* Orphan parent reference. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:99 ~name:"lost" 1. 2.);
+  let t = Obs_trace.create () in
+  record t ~id:0 ~name:"request" 0. 10.;
+  record t ~id:1 ~parent:99 ~name:"lost" 1. 2.;
   let st = Obs_span.validate t in
   Alcotest.(check int) "orphans" 1 st.Obs_span.orphans;
   Alcotest.(check bool) "not well formed" false (Obs_span.all_well_formed t);
   (* Two roots in one request trace. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"a" 0. 5.);
-  Obs_span.record t (span ~id:1 ~name:"b" 5. 9.);
+  let t = Obs_trace.create () in
+  record t ~id:0 ~name:"a" 0. 5.;
+  record t ~id:1 ~name:"b" 5. 9.;
   let st = Obs_span.validate t in
   Alcotest.(check int) "multi root" 1 st.Obs_span.multi_root;
   (* Child escapes its parent's interval. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 2. 5.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~name:"early" 0. 4.);
+  let t = Obs_trace.create () in
+  record t ~id:0 ~name:"request" 2. 5.;
+  record t ~id:1 ~parent:0 ~name:"early" 0. 4.;
   let st = Obs_span.validate t in
   Alcotest.(check int) "nest violation" 1 st.Obs_span.nest_violations;
   (* Inverted interval. *)
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~name:"request" 5. 1.);
+  let t = Obs_trace.create () in
+  record t ~id:0 ~name:"request" 5. 1.;
   let st = Obs_span.validate t in
   Alcotest.(check int) "inverted" 1 st.Obs_span.inverted
 
 let test_span_ops_trace_exempt () =
   (* Negative traces are operational streams: many roots, no tree rule. *)
-  let t = Obs_span.create () in
+  let t = Obs_trace.create () in
   for i = 0 to 4 do
     let at = float_of_int i in
-    Obs_span.record t
-      (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:i
-         ~name:"checkpoint" at at)
+    record t ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:i
+      ~name:"checkpoint" at at
   done;
   let st = Obs_span.validate t in
   Alcotest.(check int) "no request traces" 0 st.Obs_span.traces;
   Alcotest.(check bool) "well formed" true (Obs_span.all_well_formed t)
 
 let test_span_sink_and_limit () =
-  let t = Obs_span.create ~limit:2 () in
+  let t = Obs_trace.create ~limit:2 () in
   let sink = Obs_span.sink t in
   for i = 0 to 3 do
     sink
@@ -89,10 +84,12 @@ let test_span_sink_and_limit () =
            t1 = 1.;
          })
   done;
-  (* Non-span events are ignored, not recorded. *)
+  (* Non-span events are dropped before the recorder: they neither fill
+     it nor count as drops. *)
   sink (Obs_sink.Ladder { level = "normal"; occupancy = 0.1; cause = "occupancy"; at = 0. });
-  Alcotest.(check int) "kept up to limit" 2 (Obs_span.length t);
-  Alcotest.(check int) "dropped counted" 2 (Obs_span.dropped t)
+  sink (Obs_sink.Step { shard = 0; step = 1; block = 0 });
+  Alcotest.(check int) "kept up to limit" 2 (n_spans t);
+  Alcotest.(check int) "dropped counted" 2 (Obs_trace.dropped t)
 
 (* The parsed [traceEvents] of a Chrome document written to a file. *)
 let chrome_events write =
@@ -130,13 +127,12 @@ let thread_names evs =
 let named name evs = List.filter (fun ev -> str "name" ev = name) evs
 
 let test_span_chrome_roundtrip () =
-  let t = Obs_span.create () in
-  Obs_span.record t (span ~id:0 ~track:3 ~name:"request" 0. 10.);
-  Obs_span.record t (span ~id:1 ~parent:0 ~track:3 ~name:"service" 2. 10.);
-  Obs_span.record t
-    (span ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:2
-       ~name:"restore" 4. 4.);
-  let evs = chrome_events (Obs_span.write t) in
+  let t = Obs_trace.create () in
+  record t ~id:0 ~track:3 ~name:"request" 0. 10.;
+  record t ~id:1 ~parent:0 ~track:3 ~name:"service" 2. 10.;
+  record t ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:2
+    ~name:"restore" 4. 4.;
+  let evs = chrome_events (Obs_trace.write t) in
   (* One thread per span track, named after it. *)
   let threads = thread_names evs in
   Alcotest.(check (list string)) "thread names" [ "ops"; "tenant 3" ]
@@ -161,7 +157,41 @@ let test_span_chrome_roundtrip () =
     [ arg "trace" service; arg "span" service; arg "parent" service ];
   Alcotest.(check (list int)) "restore args"
     [ Obs_span.ops_trace; 2; Obs_span.no_parent ]
-    [ arg "trace" restore; arg "span" restore; arg "parent" restore ]
+    [ arg "trace" restore; arg "span" restore; arg "parent" restore ];
+  (* One recorder holding a VM's Step events on a named track (two shards)
+     next to spans: each lands on its own thread, and no span thread
+     shares a tid with a recorded track's thread. *)
+  let t = Obs_trace.create () in
+  let vm = Obs_trace.track t "vm" in
+  let clock = ref 0. in
+  let vm_sink = Obs_trace.sink t ~track:vm ~clock:(fun () -> !clock) in
+  List.iter
+    (fun (shard, step) ->
+      clock := float_of_int step;
+      vm_sink (Obs_sink.Step { shard; step; block = 0 }))
+    [ (0, 1); (1, 1); (0, 2) ];
+  record t ~id:0 ~track:0 ~name:"request" 0. 3.;
+  record t ~trace:Obs_span.ops_trace ~track:Obs_span.ops_track ~id:1
+    ~name:"restore" 1. 1.;
+  let evs = chrome_events (Obs_trace.write t) in
+  let threads = thread_names evs in
+  Alcotest.(check (list string)) "mixed thread names"
+    [ "ops"; "tenant 0"; "vm"; "vm/shard1" ]
+    (List.sort compare (List.map snd threads));
+  let tids = List.map fst threads in
+  Alcotest.(check int) "distinct tids" (List.length tids)
+    (List.length (List.sort_uniq compare tids));
+  let tid_of name = fst (List.find (fun (_, n) -> n = name) threads) in
+  Alcotest.(check int) "request on its span track" (tid_of "tenant 0")
+    (int "tid" (List.hd (named "request" evs)));
+  Alcotest.(check int) "restore on ops" (tid_of "ops")
+    (int "tid" (List.hd (named "restore" evs)));
+  Alcotest.(check bool) "supersteps stay on the vm threads" true
+    (List.for_all
+       (fun ev ->
+         str "cat" ev <> "superstep"
+         || List.mem (int "tid" ev) [ tid_of "vm"; tid_of "vm/shard1" ])
+       evs)
 
 let test_span_server_integration () =
   (* A small tenant trace run bare and observed: attaching the recorder
@@ -172,7 +202,7 @@ let test_span_server_integration () =
       ~baseline:false ?sink ()
   in
   let bare = run None in
-  let recorder = Obs_span.create () in
+  let recorder = Obs_trace.create () in
   let observed = run (Some (Obs_span.sink recorder)) in
   let stats (r : Tenant_load.result) =
     r.Tenant_load.fair.Tenant_load.stats

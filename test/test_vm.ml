@@ -53,9 +53,19 @@ let test_instrument () =
     (Instrument.utilization ins ~name:"grad");
   Alcotest.(check (option (float 1e-12))) "unknown prim" None
     (Instrument.utilization ins ~name:"mul");
-  Instrument.record_block ins ~active:2 ~batch:4;
-  Instrument.record_block ins ~active:4 ~batch:4;
+  let occupancy ~step ~block ~active =
+    Obs_sink.Occupancy { shard = 0; step; block; active; live = 4; total = 4 }
+  in
+  Instrument.observe_occupancy ins (occupancy ~step:1 ~block:0 ~active:2);
+  Instrument.observe_occupancy ins (occupancy ~step:2 ~block:1 ~active:4);
+  Instrument.observe_occupancy ins (occupancy ~step:3 ~block:1 ~active:3);
+  (* Events other than Occupancy count nothing. *)
+  Instrument.observe_occupancy ins (Obs_sink.Step { shard = 0; step = 4; block = 0 });
+  Alcotest.(check int) "blocks" 3 (Instrument.blocks_executed ins);
   Alcotest.(check (float 1e-12)) "overall" 0.75 (Instrument.overall_utilization ins);
+  Alcotest.(check (list (triple int int int))) "per-block profile"
+    [ (1, 2, 7); (0, 1, 2) ] (Instrument.block_stats ins);
+  Alcotest.(check int) "live samples" 3 (Instrument.live_samples ins);
   Instrument.record_push ins ~lanes:3;
   Instrument.record_pop ins ~lanes:3;
   Instrument.record_depth ins 5;

@@ -100,6 +100,8 @@ let launch_cat = function
    "ops" for the negative operational track), whatever track recorded it. *)
 type thread = Shard of int * int | Span_track of int
 
+let span_track_name tr = if tr < 0 then "ops" else Printf.sprintf "tenant %d" tr
+
 let thread_of e =
   match e.ev with
   | Obs_sink.Step { shard; _ } | Obs_sink.Occupancy { shard; _ } -> Shard (e.track, shard)
@@ -150,11 +152,9 @@ let to_chrome t =
   let name_of = function
     | Shard (n, 0) -> track_name n
     | Shard (n, k) -> Printf.sprintf "%s/shard%d" (track_name n) k
-    | Span_track tr -> if tr < 0 then "ops" else Printf.sprintf "tenant %d" tr
+    | Span_track tr -> span_track_name tr
   in
-  let threads =
-    List.sort compare (List.map (fun th -> (tid_of th, th)) threads)
-  in
+  let by_tid = List.sort compare (List.map (fun th -> (tid_of th, th)) threads) in
   let meta =
     List.map
       (fun (tid, th) ->
@@ -166,7 +166,7 @@ let to_chrome t =
             ("tid", Obs_json.Int tid);
             ("args", Obs_json.Obj [ ("name", Obs_json.Str (name_of th)) ]);
           ])
-      threads
+      by_tid
   in
   let events_of_thread (tid, th) =
     let entries = List.rev !(Hashtbl.find by_thread th) in
@@ -337,7 +337,7 @@ let to_chrome t =
     close_span !last_ts;
     List.rev !out
   in
-  let events = meta @ List.concat_map events_of_thread threads in
+  let events = meta @ List.concat_map events_of_thread by_tid in
   Obs_json.Obj
     [
       ("traceEvents", Obs_json.List events);
@@ -405,8 +405,13 @@ let to_csv ?policy t =
       let suffix =
         match policy with None -> "" | Some p -> "," ^ p
       in
+      let track =
+        match thread_of e with
+        | Span_track tr -> span_track_name tr
+        | Shard _ -> track_name e.track
+      in
       Buffer.add_string buf
-        (Printf.sprintf "%s,%.9f,%s,%s,%s%s\n" (track_name e.track) e.ts
+        (Printf.sprintf "%s,%.9f,%s,%s,%s%s\n" track e.ts
            (Obs_sink.kind_name e.ev) name detail suffix))
     (entries t);
   Buffer.contents buf

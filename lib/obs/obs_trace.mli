@@ -56,7 +56,8 @@ val to_chrome : t -> Obs_json.t
 val to_chrome_string : t -> string
 
 val to_csv : ?policy:string -> t -> string
-(** One row per entry: [track,ts,kind,name,detail]. When [policy] is
+(** One row per entry: [track,ts,kind,name,detail]; a span's row names
+    the span's own track, as its Chrome thread does. When [policy] is
     given (a {!Sched_policy.to_string} name) a trailing [policy] column
     is appended to the header and every row, so sweep CSVs from
     different scheduling policies concatenate cleanly. *)

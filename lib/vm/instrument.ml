@@ -227,7 +227,7 @@ let gauge_compact g =
   g.width <- g.width * 2
 
 (* The one door for per-superstep counts: the VMs announce each
-   superstep with one [Obs_sink.Occupancy] (Vm_util.superstep) and feed
+   superstep with one [Occupancy] event (Vm_util.superstep) and feed
    the same event to the user sink and here, so the block totals, the
    per-block profile, the live-lane gauge and any profiler sink read the
    same numbers by construction. *)

@@ -186,6 +186,10 @@ let test_span_chrome_roundtrip () =
     (int "tid" (List.hd (named "request" evs)));
   Alcotest.(check int) "restore on ops" (tid_of "ops")
     (int "tid" (List.hd (named "restore" evs)));
+  Alcotest.(check bool) "csv names the span's track" true
+    (List.exists
+       (fun row -> String.starts_with ~prefix:"tenant 0," row)
+       (String.split_on_char '\n' (Obs_trace.to_csv t)));
   Alcotest.(check bool) "supersteps stay on the vm threads" true
     (List.for_all
        (fun ev ->

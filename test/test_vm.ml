@@ -237,6 +237,39 @@ let test_pc_max_depth_instrumented () =
   Alcotest.(check int) "pushes balance pops" (Instrument.pushes ins)
     (Instrument.pops ins)
 
+(* The fault-injection seam: a sink that raises on a superstep's Step
+   aborts it before the Occupancy event reaches anyone, the instrument
+   included, so every runtime has counted exactly the steps before it. *)
+exception Injected
+
+let test_step_fault_precedes_counting () =
+  let batch = [ Tensor.of_list [ 6.; 8. ] ] in
+  let occupancies = ref 0 in
+  let sink = function
+    | Obs_sink.Step { step = 3; _ } -> raise Injected
+    | Obs_sink.Occupancy _ -> incr occupancies
+    | _ -> ()
+  in
+  let check name run =
+    occupancies := 0;
+    let ins = Instrument.create () in
+    Alcotest.check_raises name Injected (fun () -> run ins);
+    Alcotest.(check (pair int int)) (name ^ ": two steps counted") (2, 2)
+      (!occupancies, Instrument.blocks_executed ins)
+  in
+  check "pc" (fun ins ->
+      ignore
+        (Autobatch.run_pc
+           ~config:{ Pc_vm.default_config with instrument = Some ins; sink = Some sink }
+           fib_compiled ~batch));
+  check "jit" (fun ins ->
+      ignore (Pc_jit.run ~instrument:ins ~sink (Autobatch.jit fib_compiled ~batch:2) ~batch));
+  check "local" (fun ins ->
+      ignore
+        (Autobatch.run_local
+           ~config:{ Local_vm.default_config with instrument = Some ins; sink = Some sink }
+           fib_compiled ~batch))
+
 let test_pc_shape_change_rejected () =
   (* A program whose variable changes element shape across writes must be
      rejected by the runtime (static shapes are the contract). *)
@@ -290,6 +323,7 @@ let suites =
         t "step limits" `Quick test_vm_step_limit;
         t "engine accounting" `Quick test_vm_engine_accounting;
         t "pc depth instrumented" `Quick test_pc_max_depth_instrumented;
+        t "step fault precedes counting" `Quick test_step_fault_precedes_counting;
         t "shape changes rejected" `Quick test_pc_shape_change_rejected;
       ] );
   ]
@@ -377,8 +411,7 @@ let test_jit_instrument () =
 (* Every readout an instrument offers, split in three strings (totals,
    per-primitive table with utilization, per-block profile) and compared
    against literals, so a change in how the VMs feed their instrument
-   shows up as a diff. The literals were recorded from the runtimes that
-   counted blocks through a separate per-block call. *)
+   shows up as a diff. *)
 let check_readout ins (totals, prims, blocks) =
   Alcotest.(check string) "totals" totals
     (Printf.sprintf

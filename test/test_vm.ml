@@ -510,7 +510,7 @@ let test_readout_nuts_pc () =
         0:1:16 29:1:6 2:1:16" )
 
 let readout_suite =
-  ( "instrument-readout",
+  ( "instr-readout",
     [
       t "fib z=32 on pc" `Quick test_readout_fib_pc;
       t "fib z=32 on jit" `Quick test_readout_fib_jit;

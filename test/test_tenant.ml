@@ -75,6 +75,30 @@ let test_digest_structural () =
        (Prog_cache.digest ~input_shapes:[ [||]; [||]; [| 2 |] ]
           (Tenant_load.family_program ~k:0)))
 
+(* The parent's digest values, pinned: a rewrite of the digest walk must
+   reproduce every key bit for bit, or warm caches and committed
+   baselines would silently re-key. *)
+let test_digest_pinned () =
+  let check name expected p =
+    Alcotest.(check string) name (Printf.sprintf "%016Lx" expected)
+      (Printf.sprintf "%016Lx" p)
+  in
+  List.iteri
+    (fun k expected ->
+      check (Printf.sprintf "family k=%d" k) expected
+        (Prog_cache.digest ~input_shapes:shapes (Tenant_load.family_program ~k)))
+    [
+      0x5ec8896379c7265cL; 0x94459b9169c50015L; 0x287031e7e1dd1c5bL;
+      0x904096625ce27893L; 0x32a5efb90da1bfb9L; 0x531ca12dfffdc325L;
+      0x24323c5656d2f4e9L; 0xed913b8b82cc7122L;
+    ];
+  check "family k=0, no shapes" 0xe3174dd0c3f5e392L
+    (Prog_cache.digest (Tenant_load.family_program ~k:0));
+  let collatz = Test_corpus.load "collatz.ab" in
+  check "collatz.ab program" 0x3748dfc42fe18264L (Prog_cache.digest_program collatz);
+  check "collatz.ab key" 0xa0813719dba02a99L (Prog_cache.digest collatz);
+  check "NUTS program" 0x3289be565fcbccbcL (Prog_cache.digest (Nuts_dsl.program ()))
+
 let test_cache_hit_and_identity () =
   let cache = Prog_cache.create ~capacity:4 () in
   let p = Tenant_load.family_program ~k:3 in
@@ -440,6 +464,32 @@ let test_load_verifies_bitwise () =
   Alcotest.(check int) "no mismatches" 0 r.Tenant_load.mismatches;
   Alcotest.(check bool) "completions verified" true (r.Tenant_load.verified > 0)
 
+(* The serving decisions of a fixed 2000-request trace, pinned to the
+   values the scheduler produced before its control plane was trimmed:
+   every count and the latency-bound percentiles' bits must repeat. *)
+let test_load_decisions_pinned () =
+  let r = Tenant_load.run ~n_requests:2000 ~baseline:false ~verify:false () in
+  let a = r.Tenant_load.fair in
+  let s = a.Tenant_load.stats in
+  let check name expected got = Alcotest.(check int) name expected got in
+  check "rounds" 1846 s.Tenant_server.rounds;
+  check "binds" 4 s.Tenant_server.binds;
+  check "rebinds" 127 s.Tenant_server.rebinds;
+  check "grows" 3 s.Tenant_server.grows;
+  check "shrinks" 2 s.Tenant_server.shrinks;
+  check "preemptions" 24 s.Tenant_server.preemptions;
+  check "resumes" 24 s.Tenant_server.resumes;
+  check "migrations" 0 s.Tenant_server.migrations;
+  check "checkpoints" 414 s.Tenant_server.checkpoints;
+  check "restores" 1 s.Tenant_server.restores;
+  check "completed" 851 a.Tenant_load.completed;
+  let bits name expected x =
+    Alcotest.(check string) name (Printf.sprintf "%016Lx" expected)
+      (Printf.sprintf "%016Lx" (Int64.bits_of_float x))
+  in
+  bits "latency-bound p50" 0x3f8b1a51f8610590L a.Tenant_load.p50_latency;
+  bits "latency-bound p99" 0x3fb1b770da18c848L a.Tenant_load.p99_latency
+
 (* ---------- suites ---------- *)
 
 let suites =
@@ -452,6 +502,7 @@ let suites =
     ( "tenant-cache",
       [
         t "digest is structural" `Quick test_digest_structural;
+        t "digest values are pinned" `Quick test_digest_pinned;
         t "hit returns the same artifact" `Quick test_cache_hit_and_identity;
         t "LRU eviction" `Quick test_cache_lru_eviction;
       ] );
@@ -477,5 +528,6 @@ let suites =
       [
         t "deterministic under --seed" `Quick test_load_deterministic_under_seed;
         t "completions verify against solo" `Quick test_load_verifies_bitwise;
+        t "serving decisions are pinned" `Quick test_load_decisions_pinned;
       ] );
   ]

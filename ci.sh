@@ -31,6 +31,13 @@ dune build
 step "tests ($tier)"
 dune build "$tier"
 
+# The wall-clock benchmark's self-check: serving allocations and every
+# deterministic readout must repeat bit for bit for one seed, and the
+# generated inputs must change with the seed. About 6 s; the full tier's
+# @runtest already includes it, so there dune finds it up to date.
+step "perfbench self-check"
+dune build @perfbench/runtest
+
 # Observability must be free: the obs bench stage re-runs a workload with
 # a trace sink attached and exits nonzero if the simulated cost moves by
 # more than 1%, outputs change, or the trace fails to re-parse.

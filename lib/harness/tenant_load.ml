@@ -165,9 +165,6 @@ let make_source ~seed ~pattern ~rate ~n_requests ~tenants ~n_programs ~cache
          (List.init n_tenants Fun.id))
   in
   let be_cdf = zipf_cdf ~n:(Array.length be_idx) ~s:1.1 in
-  let compiled_of prog =
-    fst (Prog_cache.find_or_compile cache ~input_shapes:element_shapes prog)
-  in
   let next_id = ref 0 in
   let next () =
     if !next_id >= n_requests then None
@@ -213,8 +210,9 @@ let make_source ~seed ~pattern ~rate ~n_requests ~tenants ~n_programs ~cache
                Tensor.scalar (x0 +. (0.01 *. float_of_int j))))
       in
       let inputs = [ rows (float_of_int n_iter); xs; rows 0. ] in
-      let compiled = compiled_of prog in
-      let digest = Prog_cache.digest ~input_shapes:element_shapes prog in
+      let compiled, digest, _ =
+        Prog_cache.find_or_compile cache ~input_shapes:element_shapes prog
+      in
       let request =
         Request.make ~id:i ~member:(i * 8) ~arrival:!clock
           ~cost_hint:(float_of_int n_iter) ~program:compiled ~inputs ()
@@ -293,8 +291,9 @@ let run ?(seed = 0x7E47L) ?(pattern = Bursty) ?(n_requests = 2000)
   let solo_service =
     let cache = Prog_cache.create ~capacity:2 () in
     let prog = family_program ~k:0 in
-    let compiled, _ = Prog_cache.find_or_compile cache ~input_shapes:element_shapes prog in
-    let digest = Prog_cache.digest ~input_shapes:element_shapes prog in
+    let compiled, digest, _ =
+      Prog_cache.find_or_compile cache ~input_shapes:element_shapes prog
+    in
     let request =
       Request.make ~id:0 ~member:0 ~cost_hint:12.
         ~program:compiled

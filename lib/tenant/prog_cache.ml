@@ -1,15 +1,8 @@
-(* Structural hash-consing of Lang programs, in the style of Herbie's
-   progs->batch: a post-order walk interns each node — (constructor tag,
-   scalar/string payloads, child digests) — in a table, so every distinct
-   structure is assigned exactly one 64-bit digest and repeated subtrees
-   resolve through the table instead of being re-mixed. *)
-
-type node = {
-  tag : int;
-  nums : int64 list;
-  strs : string list;
-  kids : int64 list;
-}
+(* Structural digest of Lang programs: a post-order walk folds each node —
+   constructor tag, scalar payloads, string hashes, then child digests —
+   through [Splitmix.hash2], starting from [Splitmix.hash_list]'s seed.
+   A node's digest is thus [Splitmix.hash_list] of that sequence, computed
+   without building the list. *)
 
 let hash_string s =
   let h = ref (Int64.of_int (String.length s)) in
@@ -18,68 +11,43 @@ let hash_string s =
     s;
   !h
 
-let node_digest n =
-  Splitmix.hash_list
-    ((Int64.of_int n.tag :: n.nums)
-    @ List.map hash_string n.strs
-    @ n.kids)
+let seed = Splitmix.hash_list []
+let node tag = Splitmix.hash2 seed (Int64.of_int tag)
+let str h s = Splitmix.hash2 h (hash_string s)
+let strs h l = List.fold_left str h l
+let num h x = Splitmix.hash2 h (Int64.bits_of_float x)
 
-type interner = (node, int64) Hashtbl.t
-
-let intern (tbl : interner) n =
-  match Hashtbl.find_opt tbl n with
-  | Some d -> d
-  | None ->
-    let d = node_digest n in
-    Hashtbl.add tbl n d;
-    d
-
-let leaf tbl tag ?(nums = []) ?(strs = []) () =
-  intern tbl { tag; nums; strs; kids = [] }
-
-let rec munge_expr tbl (e : Lang.expr) =
+let rec munge_expr (e : Lang.expr) =
   match e with
-  | Lang.Var x -> leaf tbl 1 ~strs:[ x ] ()
-  | Lang.Const v -> leaf tbl 2 ~nums:[ Int64.bits_of_float v ] ()
-  | Lang.Vec a ->
-    let nums = Array.to_list (Array.map Int64.bits_of_float a) in
-    leaf tbl 3 ~nums ()
-  | Lang.Prim (name, args) ->
-    let kids = List.map (munge_expr tbl) args in
-    intern tbl { tag = 4; nums = []; strs = [ name ]; kids }
+  | Lang.Var x -> str (node 1) x
+  | Lang.Const v -> num (node 2) v
+  | Lang.Vec a -> Array.fold_left num (node 3) a
+  | Lang.Prim (name, args) -> exprs (str (node 4) name) args
 
-let rec munge_stmt tbl (s : Lang.stmt) =
+and exprs h es = List.fold_left (fun h e -> Splitmix.hash2 h (munge_expr e)) h es
+
+let rec munge_stmt (s : Lang.stmt) =
   match s with
-  | Lang.Assign (x, e) ->
-    intern tbl { tag = 10; nums = []; strs = [ x ]; kids = [ munge_expr tbl e ] }
-  | Lang.Call_stmt (dsts, f, args) ->
-    intern tbl
-      { tag = 11; nums = []; strs = f :: dsts;
-        kids = List.map (munge_expr tbl) args }
+  | Lang.Assign (x, e) -> Splitmix.hash2 (str (node 10) x) (munge_expr e)
+  | Lang.Call_stmt (dsts, f, args) -> exprs (strs (node 11) (f :: dsts)) args
   | Lang.If (c, t, e) ->
-    intern tbl
-      { tag = 12; nums = []; strs = [];
-        kids = [ munge_expr tbl c; munge_body tbl t; munge_body tbl e ] }
+    Splitmix.hash2
+      (Splitmix.hash2 (Splitmix.hash2 (node 12) (munge_expr c)) (munge_body t))
+      (munge_body e)
   | Lang.While (c, body) ->
-    intern tbl
-      { tag = 13; nums = []; strs = [];
-        kids = [ munge_expr tbl c; munge_body tbl body ] }
-  | Lang.Return es ->
-    intern tbl { tag = 14; nums = []; strs = []; kids = List.map (munge_expr tbl) es }
+    Splitmix.hash2 (Splitmix.hash2 (node 13) (munge_expr c)) (munge_body body)
+  | Lang.Return es -> exprs (node 14) es
 
-and munge_body tbl stmts =
-  intern tbl { tag = 20; nums = []; strs = []; kids = List.map (munge_stmt tbl) stmts }
+and munge_body stmts =
+  List.fold_left (fun h s -> Splitmix.hash2 h (munge_stmt s)) (node 20) stmts
 
-let munge_func tbl (f : Lang.func) =
-  intern tbl
-    { tag = 30; nums = []; strs = f.Lang.fname :: f.Lang.params;
-      kids = [ munge_body tbl f.Lang.body ] }
+let munge_func (f : Lang.func) =
+  Splitmix.hash2 (strs (node 30) (f.Lang.fname :: f.Lang.params)) (munge_body f.Lang.body)
 
 let digest_program (p : Lang.program) =
-  let tbl : interner = Hashtbl.create 64 in
-  intern tbl
-    { tag = 31; nums = []; strs = [ p.Lang.main ];
-      kids = List.map (munge_func tbl) p.Lang.funcs }
+  List.fold_left
+    (fun h f -> Splitmix.hash2 h (munge_func f))
+    (str (node 31) p.Lang.main) p.Lang.funcs
 
 let digest ?input_shapes p =
   let base = digest_program p in
@@ -216,7 +184,7 @@ let find_or_compile t ?optimize ?fuse ?input_shapes program =
   match Hashtbl.find_opt t.entries key with
   | Some e ->
     hit t e;
-    (e.compiled, `Hit)
+    (e.compiled, key, `Hit)
   | None ->
     miss t;
     let compiled =
@@ -225,4 +193,4 @@ let find_or_compile t ?optimize ?fuse ?input_shapes program =
     in
     emit_instant t "compile";
     insert t key compiled;
-    (compiled, `Miss)
+    (compiled, key, `Miss)

@@ -1,4 +1,4 @@
-(** Hash-consed program identity and an LRU of compiled programs.
+(** Structural program identity and an LRU of compiled programs.
 
     Serving traffic repeats programs: many tenants run the same model, and
     one tenant runs the same model many times. Compiling through
@@ -7,19 +7,18 @@
     the source {!Lang.program} (plus the input element shapes, which
     change what [compile] preallocates).
 
-    The digest is hash-consed in the style of Herbie's [progs->batch]
-    node dedup (SNIPPETS.md): a post-order walk interns every distinct
-    expression/statement node — constructor tag, payloads, child digests
-    — in a table, so each unique structure is mixed exactly once and
-    repeated subtrees resolve through the table. Alpha-renamed programs
-    hash differently by design — identity is the source text's
-    structure, not semantics.
+    The digest is one post-order walk: each expression/statement node
+    folds its constructor tag, payloads and child digests through
+    {!Splitmix.hash2}, with no table and no intermediate lists, so a
+    repeated subtree is simply walked again. Alpha-renamed programs hash
+    differently by design — identity is the source text's structure, not
+    semantics.
 
-    Physical sharing matters beyond speed: {!Server} (and the tenant
-    stack's shard pools) admit a request only if its compiled program is
-    physically the pool's program, so handing every same-digest request
-    the same [Autobatch.compiled] value is what makes multi-tenant
-    traffic servable at all. *)
+    Physical sharing still matters: {!Server} admits a request only if its
+    compiled program is physically the pool's program, so handing every
+    same-digest request the same [Autobatch.compiled] value is what makes
+    such traffic batchable. The tenant stack's shard pools instead match
+    requests to pools by the digest carried on each {!Admission.item}. *)
 
 val digest_program : Lang.program -> int64
 (** Structural digest of the program alone (no shapes). *)
@@ -47,10 +46,13 @@ val create :
 
 val find_or_compile :
   t -> ?optimize:bool -> ?fuse:Fuse.options -> ?input_shapes:Shape.t list ->
-  Lang.program -> Autobatch.compiled * [ `Hit | `Miss ]
-(** Return the cached artifact for the program's digest, or compile,
-    insert (evicting the least-recently-used entry when full) and return
-    it. Every same-digest call returns the {e physically same}
+  Lang.program -> Autobatch.compiled * int64 * [ `Hit | `Miss ]
+(** [(compiled, key, outcome)]: the cached artifact for the program's
+    digest, or compile, insert (evicting the least-recently-used entry
+    when full) and return it. [key] is [digest ?input_shapes program],
+    computed once per call, so callers that also need the key (an
+    {!Admission.item}'s [digest]) need not walk the program again.
+    Every same-digest call returns the {e physically same}
     [Autobatch.compiled]. The compile options are trusted to be
     uniform per digest — callers with conflicting options must use
     separate caches. *)

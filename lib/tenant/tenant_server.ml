@@ -658,47 +658,67 @@ let run ?config src =
   in
 
   (* ---------- resume parked work ---------- *)
+  (* Whether some parked request fits the free lanes of a serving shard
+     bound to its digest: one probe per shard, allocating nothing, so the
+     rounds where nothing can resume skip the sort below. *)
+  let rec parked_fits digest free = function
+    | [] -> false
+    | p :: tl ->
+      (Int64.equal p.p_item.Admission.digest digest && Array.length p.p_states <= free)
+      || parked_fits digest free tl
+  in
+  let rec resumable i =
+    i < n_shards
+    &&
+    match shards.(i).s_b with
+    | Some b when not b.b_draining ->
+      let free = Pc_vm.Lanes.free_count b.b_pool.lanes in
+      (free > 0 && parked_fits b.b_digest free !parked) || resumable (i + 1)
+    | _ -> resumable (i + 1)
+  in
   let resume_pass () =
-    let order =
-      List.sort
-        (fun a b ->
-          match compare (Admission.item_rank a.p_item) (Admission.item_rank b.p_item) with
-          | 0 -> (
-            match compare a.p_at b.p_at with 0 -> compare a.p_seq b.p_seq | c -> c)
-          | c -> c)
-        !parked
-    in
-    List.iter
-      (fun p ->
-        match host_for p.p_item.Admission.digest (Array.length p.p_states) with
-        | None -> ()
-        | Some (s, b) ->
-          let lanes, bytes =
-            Lane_group.resume ~sink:cfg.sink ~step:!round ~from:p.p_from b.b_pool p.p_states
-          in
-          let seconds =
-            if p.p_from = s.s_id then 0. else Collectives.p2p_time cfg.mesh ~bytes
-          in
-          Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes ~seconds;
-          (* The park→resume interval becomes a "preempted" mark on the
-             request's service span; a cross-shard resume adds a
-             "migrate" instant. *)
-          let marks =
-            let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
-            if p.p_from = s.s_id then preempted else ("migrate", !now, !now) :: preempted
-          in
-          add_flight b
-            {
-              f_item = p.p_item;
-              f_lanes = lanes;
-              f_started = p.p_started;
-              f_preempted = p.p_preempted;
-              f_marks = marks;
-            };
-          b.b_force_ckpt <- true;
-          parked := List.filter (fun q -> q != p) !parked;
-          incr resumes)
-      order
+    if resumable 0 then begin
+      let order =
+        List.sort
+          (fun a b ->
+            match compare (Admission.item_rank a.p_item) (Admission.item_rank b.p_item) with
+            | 0 -> (
+              match compare a.p_at b.p_at with 0 -> compare a.p_seq b.p_seq | c -> c)
+            | c -> c)
+          !parked
+      in
+      List.iter
+        (fun p ->
+          match host_for p.p_item.Admission.digest (Array.length p.p_states) with
+          | None -> ()
+          | Some (s, b) ->
+            let lanes, bytes =
+              Lane_group.resume ~sink:cfg.sink ~step:!round ~from:p.p_from b.b_pool p.p_states
+            in
+            let seconds =
+              if p.p_from = s.s_id then 0. else Collectives.p2p_time cfg.mesh ~bytes
+            in
+            Engine.charge_transfer s.s_engine ~name:"preempt-resume" ~bytes ~seconds;
+            (* The park→resume interval becomes a "preempted" mark on the
+               request's service span; a cross-shard resume adds a
+               "migrate" instant. *)
+            let marks =
+              let preempted = ("preempted", p.p_at, !now) :: p.p_marks in
+              if p.p_from = s.s_id then preempted else ("migrate", !now, !now) :: preempted
+            in
+            add_flight b
+              {
+                f_item = p.p_item;
+                f_lanes = lanes;
+                f_started = p.p_started;
+                f_preempted = p.p_preempted;
+                f_marks = marks;
+              };
+            b.b_force_ckpt <- true;
+            parked := List.filter (fun q -> q != p) !parked;
+            incr resumes)
+        order
+    end
   in
 
   (* ---------- pool control ---------- *)
@@ -791,7 +811,9 @@ let run ?config src =
 
   (* ---------- rebind and demand binding ---------- *)
   let bind_pass () =
-    let tbl = need_table () in
+    (* Binding moves neither the queue nor the parked list, so one table
+       serves the whole pass; it is built only if some shard needs it. *)
+    let tbl = lazy (need_table ()) in
     (* Rebind: an empty binding turns toward starving work when its own
        digest has no backlog, or strictly less than the most starving
        digest's (strictness prevents two equal backlogs from trading the
@@ -800,6 +822,7 @@ let run ?config src =
       (fun s ->
         match s.s_b with
         | Some b when (not b.b_draining) && b.b_flight = [] -> (
+          let tbl = Lazy.force tbl in
           let own = need_count tbl b.b_digest in
           match starving tbl with
           | (digest, n, _, program) :: _
@@ -816,8 +839,7 @@ let run ?config src =
     while !continue do
       if active_count () >= !target then continue := false
       else begin
-        let tbl = need_table () in
-        match starving tbl with
+        match starving (Lazy.force tbl) with
         | (digest, _, _, program) :: _ -> (
           let idle =
             Array.fold_left

@@ -102,11 +102,13 @@ let test_digest_pinned () =
 let test_cache_hit_and_identity () =
   let cache = Prog_cache.create ~capacity:4 () in
   let p = Tenant_load.family_program ~k:3 in
-  let c1, o1 = Prog_cache.find_or_compile cache ~input_shapes:shapes p in
-  let c2, o2 = Prog_cache.find_or_compile cache ~input_shapes:shapes p in
+  let c1, d1, o1 = Prog_cache.find_or_compile cache ~input_shapes:shapes p in
+  let c2, d2, o2 = Prog_cache.find_or_compile cache ~input_shapes:shapes p in
   Alcotest.(check bool) "first is a miss" true (o1 = `Miss);
   Alcotest.(check bool) "second is a hit" true (o2 = `Hit);
   Alcotest.(check bool) "physically same artifact" true (c1 == c2);
+  Alcotest.(check bool) "both return the digest" true
+    (Int64.equal d1 (Prog_cache.digest ~input_shapes:shapes p) && Int64.equal d1 d2);
   Alcotest.(check int) "one hit" 1 (Prog_cache.hits cache);
   Alcotest.(check int) "one miss" 1 (Prog_cache.misses cache);
   Alcotest.(check (float 1e-12)) "hit rate" 0.5 (Prog_cache.hit_rate cache)

@@ -28,6 +28,14 @@ done
 step "dune build"
 dune build
 
+# The library surface must not grow back: every column-0 `val` in a
+# lib/*/*.mli needs a reference somewhere (a qualified use anywhere in
+# the repo's sources, a use in its own .ml beyond the definition, or a
+# bare use in a file that opens the module). Lists the dead exports and
+# exits nonzero if there is one.
+step "dead-export check"
+python3 dead_exports.py
+
 step "tests ($tier)"
 dune build "$tier"
 

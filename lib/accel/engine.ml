@@ -1,10 +1,5 @@
 type mode = Eager | Fused | Hybrid
 
-let mode_to_string = function
-  | Eager -> "eager"
-  | Fused -> "fused"
-  | Hybrid -> "hybrid"
-
 module Counters = struct
   type t = {
     kernel_launches : int;
@@ -310,20 +305,3 @@ let restore t (s : snapshot) =
   t.st.time <- s.at.Counters.elapsed_seconds;
   Hashtbl.reset t.tally;
   List.iter (fun (name, n) -> Hashtbl.replace t.tally name n) s.ops
-
-let merge ~into:t (s : snapshot) =
-  t.st.kernel_launches <- t.st.kernel_launches + s.at.Counters.kernel_launches;
-  t.st.fused_launches <- t.st.fused_launches + s.at.Counters.fused_launches;
-  t.st.host_ops <- t.st.host_ops + s.at.Counters.host_ops;
-  t.st.host_calls <- t.st.host_calls + s.at.Counters.host_calls;
-  t.st.blocks <- t.st.blocks + s.at.Counters.blocks;
-  t.st.lane_refills <- t.st.lane_refills + s.at.Counters.lane_refills;
-  t.st.lane_retires <- t.st.lane_retires + s.at.Counters.lane_retires;
-  t.st.flops <- t.st.flops +. s.at.Counters.flops;
-  t.st.traffic_bytes <- t.st.traffic_bytes +. s.at.Counters.traffic_bytes;
-  t.st.time <- t.st.time +. s.at.Counters.elapsed_seconds;
-  List.iter
-    (fun (name, n) ->
-      Hashtbl.replace t.tally name
-        (n + Option.value ~default:0 (Hashtbl.find_opt t.tally name)))
-    s.ops

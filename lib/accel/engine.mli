@@ -15,13 +15,11 @@
 
     Reading an engine back out goes through exactly one door: {!snapshot},
     which captures the cumulative {!Counters.t} record and the per-op
-    tally together. Snapshots merge ({!merge}), restore ({!restore}), and
-    serialize (lib/resil); there is no separate counters-only or
+    tally together. Snapshots sum ({!Counters.add}), restore
+    ({!restore}), and serialize (lib/resil); there is no separate counters-only or
     tally-only readout. *)
 
 type mode = Eager | Fused | Hybrid
-
-val mode_to_string : mode -> string
 
 (** Cumulative cost counters. A plain record: shardable, serializable,
     and summable without touching an engine. *)
@@ -110,8 +108,8 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 (** The engine's complete readout — counters {e and} the per-op tally.
-    Snapshots of equal states are structurally equal, so they compare,
-    merge and serialize directly. *)
+    Snapshots of equal states are structurally equal, so they compare
+    and serialize directly. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite the engine's state with a snapshot (counts, simulated time,
@@ -119,12 +117,6 @@ val restore : t -> snapshot -> unit
     cumulative cost from time zero. Device and mode are not part of the
     snapshot: restore into an engine built with the same [create]
     arguments. *)
-
-val merge : into:t -> snapshot -> unit
-(** Fold another engine's snapshot into [into]'s mutable state: counts,
-    simulated time and per-op tallies all accumulate. This is how
-    per-shard engines combine after a multi-device run without reaching
-    into each other's state. Same shape as [Instrument.merge ~into]. *)
 
 val set_sink : t -> Obs_sink.t -> unit
 (** Install a structured event sink observing every launch. Each

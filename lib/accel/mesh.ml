@@ -16,14 +16,8 @@ let create ?name ~device ~(link : link) ~n () =
   { name; devices = Array.make n device; link }
 
 let gpu_pod ?(link = nvlink) ~n () = create ~device:Device.gpu ~link ~n ()
-let cpu_cluster ?(link = ethernet) ~n () = create ~device:Device.cpu ~link ~n ()
 
 let size t = Array.length t.devices
 let device t i = t.devices.(i)
 let link t = t.link
 let name t = t.name
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<hov 2>mesh %s:@ %d devices,@ link %s (%g B/s,@ %gs latency)@]" t.name
-    (size t) t.link.name t.link.bytes_per_sec t.link.latency

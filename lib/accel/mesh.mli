@@ -30,11 +30,7 @@ val create : ?name:string -> device:Device.t -> link:link -> n:int -> unit -> t
 val gpu_pod : ?link:link -> n:int -> unit -> t
 (** [n] simulated GPUs over NVLink (the default scaling-study mesh). *)
 
-val cpu_cluster : ?link:link -> n:int -> unit -> t
-(** [n] simulated CPUs over Ethernet. *)
-
 val size : t -> int
 val device : t -> int -> Device.t
 val link : t -> link
 val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -143,5 +143,3 @@ let funcs t =
   Hashtbl.fold (fun fn w acc -> (fn, w) :: acc) t.by_func []
   |> List.sort (fun (fa, wa) (fb, wb) ->
          match compare wb wa with 0 -> compare fa fb | c -> c)
-
-let total t = Hashtbl.fold (fun _ w acc -> acc +. w) t.by_func 0.

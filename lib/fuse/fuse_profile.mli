@@ -43,5 +43,3 @@ val func_weight : t -> string -> float
 val block_weight : t -> fn:string -> block:int -> float
 val funcs : t -> (string * float) list
 (** Per-function weights, heaviest first. *)
-
-val total : t -> float

@@ -26,20 +26,13 @@ let profiled_pc ?label ~policy (compiled : Autobatch.compiled) ~batch =
     Profile.view_of_prof ~label ~policy:(policy_name policy)
       ~sim_seconds:(Engine.elapsed engine) prof )
 
-let policy_views ?(policies = Sched_policy.all) (compiled : Autobatch.compiled)
-    ~batch () =
-  List.map
-    (fun policy -> snd (profiled_pc ~policy compiled ~batch))
-    policies
-
 let defrag_view ?label ?(policy = Sched_policy.Earliest)
     ?(plan = Sched_plan.default) ~shards ~lanes
     (compiled : Autobatch.compiled) ~batch () =
   let prof = Obs_prof.create () in
   let config =
     {
-      Sched_vm.default_config with
-      policy;
+      Sched_vm.policy;
       plan;
       lanes;
       mesh = Mesh.gpu_pod ~n:shards ();
@@ -175,16 +168,3 @@ let bitwise_matrix ?(policies = Sched_policy.all) ?(plans = default_plans)
         plans)
     policies;
   List.rev !checks
-
-let checks_to_json checks =
-  Obs_json.List
-    (List.map
-       (fun c ->
-         Obs_json.Obj
-           [
-             ("runtime", Obs_json.Str c.c_runtime);
-             ("policy", Obs_json.Str c.c_policy);
-             ("plan", Obs_json.Str c.c_plan);
-             ("bitwise", Obs_json.Bool c.c_ok);
-           ])
-       checks)

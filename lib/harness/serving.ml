@@ -114,7 +114,7 @@ let run ?(dim = 10) ?(rho = 0.7) ?(lanes = 8) ?(n_requests = 48)
   in
   let server_config policy =
     let vm = { Server.default_config.Server.vm with Pc_vm.sched } in
-    { Server.default_config with lanes; policy; queue_depth; vm }
+    { Server.lanes; policy; queue_depth; vm }
   in
   (* One trace track per measured serving run: the lane VM's superstep
      spans plus the request lifecycle (enqueue/shed/reject instants and

@@ -29,8 +29,6 @@ let find_func_exn p name =
 
 let entry_func p = find_func_exn p p.entry
 
-let exit_index f = Array.length f.blocks
-
 let op_defs = function
   | Prim_op { dst; _ } | Const_op { dst; _ } | Mov { dst; _ } -> [ dst ]
   | Call_op { dsts; _ } -> dsts

@@ -38,9 +38,6 @@ val find_func : program -> string -> func option
 val find_func_exn : program -> string -> func
 val entry_func : program -> func
 
-val exit_index : func -> int
-(** The "done" program-counter value: [Array.length blocks]. *)
-
 val op_defs : op -> string list
 val op_uses : op -> string list
 val term_uses : func -> terminator -> string list

@@ -5,5 +5,4 @@ let to_string = function
   | Masked -> "masked"
   | Stacked -> "stacked"
 
-let pp ppf c = Format.pp_print_string ppf (to_string c)
 let equal (a : t) b = a = b

@@ -51,7 +51,6 @@ type event =
 
 type t = event -> unit
 
-let null (_ : event) = ()
 let fanout sinks ev = List.iter (fun sink -> sink ev) sinks
 
 let tag_shard shard sink ev =

@@ -110,9 +110,6 @@ type event =
 
 type t = event -> unit
 
-val null : t
-(** Discards everything. *)
-
 val fanout : t list -> t
 (** Deliver each event to every sink, in list order. An exception from an
     earlier sink skips the later ones (and aborts the observed action). *)

@@ -26,7 +26,6 @@ type sample = {
 }
 
 val zero : sample
-val add : sample -> sample -> sample
 
 val alloc_words : sample -> float
 (** Words allocated: [minor + major - promoted] (promoted words appear

@@ -45,92 +45,3 @@ let total c ~now =
   Array.fold_left ( +. ) 0. c.sums
 
 let rate c ~now = total c ~now /. window c
-
-(* ------------------------------------------------------------------ *)
-(* Rolling histograms: the same ring, but each sub-bucket is a full
-   log-bucket histogram row (shared geometry with Obs_metrics, so
-   windowed and cumulative quantiles agree bucket-for-bucket). *)
-
-type hist = {
-  hk : int;
-  hwidth : float;
-  cells : int array array;   (* hk x Obs_metrics.n_buckets *)
-  counts : int array;
-  sums : float array;
-  mutable hepoch : int;
-}
-
-let hist ?(buckets = 8) ~window () =
-  if window <= 0. then invalid_arg "Obs_window.hist: window must be positive";
-  if buckets <= 0 then invalid_arg "Obs_window.hist: buckets must be positive";
-  {
-    hk = buckets;
-    hwidth = window /. float_of_int buckets;
-    cells = Array.init buckets (fun _ -> Array.make Obs_metrics.n_buckets 0);
-    counts = Array.make buckets 0;
-    sums = Array.make buckets 0.;
-    hepoch = 0;
-  }
-
-let hist_window h = h.hwidth *. float_of_int h.hk
-
-let hist_index h ~now =
-  if now <= 0. then 0 else int_of_float (Float.floor (now /. h.hwidth))
-
-let advance_hist h idx =
-  if idx > h.hepoch then begin
-    let steps = min h.hk (idx - h.hepoch) in
-    for i = 1 to steps do
-      let cell = (h.hepoch + i) mod h.hk in
-      Array.fill h.cells.(cell) 0 Obs_metrics.n_buckets 0;
-      h.counts.(cell) <- 0;
-      h.sums.(cell) <- 0.
-    done;
-    h.hepoch <- idx
-  end
-
-let observe h ~now v =
-  let idx = hist_index h ~now in
-  advance_hist h idx;
-  if idx > h.hepoch - h.hk then begin
-    let cell = idx mod h.hk in
-    let b = Obs_metrics.bucket_of v in
-    h.cells.(cell).(b) <- h.cells.(cell).(b) + 1;
-    h.counts.(cell) <- h.counts.(cell) + 1;
-    h.sums.(cell) <- h.sums.(cell) +. v
-  end
-
-let hist_count h ~now =
-  advance_hist h (hist_index h ~now);
-  Array.fold_left ( + ) 0 h.counts
-
-let hist_sum h ~now =
-  advance_hist h (hist_index h ~now);
-  Array.fold_left ( +. ) 0. h.sums
-
-let hist_mean h ~now =
-  let n = hist_count h ~now in
-  if n = 0 then Float.nan else hist_sum h ~now /. float_of_int n
-
-let hist_quantile h ~now q =
-  advance_hist h (hist_index h ~now);
-  let n = Array.fold_left ( + ) 0 h.counts in
-  if n = 0 then Float.nan
-  else begin
-    let q = Float.max 0. (Float.min 1. q) in
-    let target = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
-    let result = ref 0. in
-    let cum = ref 0 in
-    (try
-       for b = 0 to Obs_metrics.n_buckets - 1 do
-         for cell = 0 to h.hk - 1 do
-           cum := !cum + h.cells.(cell).(b)
-         done;
-         if !cum >= target then begin
-           result := Obs_metrics.bucket_value b;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
-  end

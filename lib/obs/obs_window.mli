@@ -1,4 +1,4 @@
-(** Sliding-window rates and rolling histograms on the simulated clock.
+(** Sliding-window counters on the simulated clock.
 
     A window of length [w] is split into a ring of [k] sub-buckets of
     width [w/k]; advancing the clock zeros whatever the clock skipped.
@@ -7,8 +7,6 @@
     observation sequence — no wall time anywhere, so replays under the
     same seed read identically. {!Obs_slo} builds its multi-window
     burn-rate monitor on {!counter}. *)
-
-(** {1 Windowed counters} *)
 
 type counter
 
@@ -28,21 +26,3 @@ val total : counter -> now:float -> float
 
 val rate : counter -> now:float -> float
 (** [total / window]: events (or value units) per simulated second. *)
-
-(** {1 Rolling histograms}
-
-    The same ring discipline with a full log-bucket histogram per
-    sub-bucket, sharing {!Obs_metrics}'s bucket geometry so windowed and
-    cumulative quantiles agree bucket-for-bucket. *)
-
-type hist
-
-val hist : ?buckets:int -> window:float -> unit -> hist
-val hist_window : hist -> float
-val observe : hist -> now:float -> float -> unit
-val hist_count : hist -> now:float -> int
-val hist_sum : hist -> now:float -> float
-val hist_mean : hist -> now:float -> float  (** [nan] when empty. *)
-
-val hist_quantile : hist -> now:float -> float -> float
-(** Bucket-midpoint quantile over the window; [nan] when empty. *)

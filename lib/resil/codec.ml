@@ -79,9 +79,10 @@ let r_string r =
   s
 
 (* Guard bulk lengths against the remaining bytes before allocating, so a
-   corrupted length can't demand a giant array. *)
+   corrupted length can't demand a giant array. Divide rather than
+   multiply: [8 * n] wraps for n > max_int / 8 and would pass. *)
 let check_bulk r n =
-  if remaining r < 8 * n then corrupt "truncated array at byte %d" r.pos
+  if n > remaining r / 8 then corrupt "truncated array at byte %d" r.pos
 
 let r_int_array r =
   let n = r_len r "array" in

@@ -5,7 +5,8 @@
     {v magic | version | kind | payload | fnv1a-64 checksum v}
 
     around a typed payload built from the runtimes' plain-data images
-    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot}, {!Instrument.image}, {!Server.image}). Decoding
+    ({!Vm_image}, {!Pc_vm.Lanes.image}, {!Engine.snapshot},
+    {!Instrument.image}, {!Server.image}). Decoding
     verifies the checksum before trusting a single length field and
     rejects wrong magic, unknown versions, mismatched kinds, truncation,
     and trailing bytes with a descriptive {!Codec.Corrupt}. Floats travel
@@ -31,31 +32,14 @@ val load_file : string -> string
 
 (** {1 Section codecs}
 
-    Exposed so composite snapshots (and tests) can reuse them. Each
-    [w_x]/[r_x] pair round-trips exactly. *)
+    The stacked-variable and instrument sections, exposed so tests can
+    round-trip them on their own; every other section codec is internal.
+    Each [w_x]/[r_x] pair round-trips exactly. *)
 
-val w_shape : Buffer.t -> Shape.t -> unit
-val r_shape : Codec.reader -> Shape.t
 val w_stacked : Buffer.t -> Stacked.image -> unit
 val r_stacked : Codec.reader -> Stacked.image
-val w_pc : Buffer.t -> Vm_image.pc -> unit
-val r_pc : Codec.reader -> Vm_image.pc
-val w_storage : Buffer.t -> Vm_image.storage -> unit
-val r_storage : Codec.reader -> Vm_image.storage
-val w_store : Buffer.t -> Vm_image.store -> unit
-val r_store : Codec.reader -> Vm_image.store
-val w_lanes : Buffer.t -> Pc_vm.Lanes.image -> unit
-val r_lanes : Codec.reader -> Pc_vm.Lanes.image
-val w_counters : Buffer.t -> Engine.counters -> unit
-val r_counters : Codec.reader -> Engine.counters
-val w_engine : Buffer.t -> Engine.snapshot -> unit
-val r_engine : Codec.reader -> Engine.snapshot
 val w_instrument : Buffer.t -> Instrument.image -> unit
 val r_instrument : Codec.reader -> Instrument.image
-val w_request : Buffer.t -> Request.image -> unit
-val r_request : Codec.reader -> Request.image
-val w_server : Buffer.t -> Server.image -> unit
-val r_server : Codec.reader -> Server.image
 
 (** {1 Snapshot kinds} *)
 

@@ -1,7 +1,6 @@
 type key = { seed : int64 }
 
 let key seed = { seed }
-let seed_of k = k.seed
 
 let word k ~member ~counter ~slot =
   Splitmix.hash_list

@@ -18,8 +18,6 @@ type key
 val key : int64 -> key
 (** Make a key from an experiment seed. *)
 
-val seed_of : key -> int64
-
 val uniform : key -> member:int -> counter:int -> slot:int -> float
 (** Uniform in the open interval (0,1). *)
 

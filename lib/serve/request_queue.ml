@@ -1,27 +1,21 @@
-type shed_policy = Reject_new | Drop_oldest
-
 type t = {
   depth : int;
-  shed_policy : shed_policy;
   mutable items : Request.t list;  (* arrival order, oldest first *)
   mutable length : int;
   mutable shed_total : int;
 }
 
-let create ?(depth = max_int) ?(shed = Reject_new) () =
+let create ?(depth = max_int) () =
   if depth <= 0 then invalid_arg "Request_queue.create: depth must be positive";
-  { depth; shed_policy = shed; items = []; length = 0; shed_total = 0 }
+  { depth; items = []; length = 0; shed_total = 0 }
 
 let depth t = t.depth
-let shed_policy t = t.shed_policy
 let length t = t.length
-let is_empty t = t.length = 0
 let shed_total t = t.shed_total
 let to_list t = t.items
 
 (* Restore seam for the resilience layer: overwrite the queue's contents
-   wholesale (depth and shed policy are construction parameters, not
-   state). *)
+   wholesale (depth is a construction parameter, not state). *)
 let set_state t ~items ~shed_total =
   t.items <- items;
   t.length <- List.length items;
@@ -35,14 +29,7 @@ let offer t r =
   end
   else begin
     t.shed_total <- t.shed_total + 1;
-    match t.shed_policy with
-    | Reject_new -> `Shed r
-    | Drop_oldest -> (
-      match t.items with
-      | [] -> `Shed r (* depth >= 1 makes this unreachable *)
-      | oldest :: rest ->
-        t.items <- rest @ [ r ];
-        `Shed oldest)
+    `Shed r
   end
 
 (* Strict FIFO: only the head may leave, so a wide request at the head

@@ -1,23 +1,18 @@
 (** Bounded admission queue with backpressure.
 
     Holds requests that have arrived but not yet been assigned lanes.
-    Depth is bounded: offering to a full queue sheds a request — either
-    the newcomer ([Reject_new], classic admission control) or the oldest
-    waiter ([Drop_oldest], freshness-first). Both keep the server's memory
-    and worst-case queueing delay bounded under overload. *)
-
-type shed_policy = Reject_new | Drop_oldest
+    Depth is bounded: offering to a full queue sheds the newcomer
+    (classic admission control), which keeps the server's memory and
+    worst-case queueing delay bounded under overload. *)
 
 type t
 
-val create : ?depth:int -> ?shed:shed_policy -> unit -> t
-(** Defaults: unbounded depth, [Reject_new]. Raises [Invalid_argument] on
-    non-positive depth. *)
+val create : ?depth:int -> unit -> t
+(** Default: unbounded depth. Raises [Invalid_argument] on non-positive
+    depth. *)
 
 val depth : t -> int
-val shed_policy : t -> shed_policy
 val length : t -> int
-val is_empty : t -> bool
 
 val shed_total : t -> int
 (** Requests shed since creation. *)
@@ -27,13 +22,11 @@ val to_list : t -> Request.t list
 
 val set_state : t -> items:Request.t list -> shed_total:int -> unit
 (** Overwrite the queue's mutable state (the resilience layer's restore
-    seam). [items] is oldest first, as {!to_list} returns; depth and shed
-    policy are construction parameters and unchanged. *)
+    seam). [items] is oldest first, as {!to_list} returns; depth is a
+    construction parameter and unchanged. *)
 
 val offer : t -> Request.t -> [ `Admitted | `Shed of Request.t ]
-(** Enqueue, or shed per policy when full. The shed request is the
-    newcomer under [Reject_new] and the previous head under
-    [Drop_oldest] (the newcomer is admitted in its place). *)
+(** Enqueue, or shed the newcomer when full. *)
 
 val pop_fifo : t -> fits:(Request.t -> bool) -> Request.t option
 (** The head, if [fits] accepts it; [None] otherwise (strict FIFO:

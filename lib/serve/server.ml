@@ -9,7 +9,6 @@ type config = {
   lanes : int;
   policy : policy;
   queue_depth : int;
-  shed : Request_queue.shed_policy;
   vm : Pc_vm.config;
 }
 
@@ -18,7 +17,6 @@ let default_config =
     lanes = 8;
     policy = Fifo;
     queue_depth = 64;
-    shed = Request_queue.Reject_new;
     vm = Pc_vm.default_config;
   }
 
@@ -101,7 +99,7 @@ let create ?(config = default_config) ?on_complete ~program arrivals =
       Lane_group.create ~shard:0 ~config:vm_config program.Autobatch.registry
         program.Autobatch.stack ~z:config.lanes;
     flight = [];
-    queue = Request_queue.create ~depth:config.queue_depth ~shed:config.shed ();
+    queue = Request_queue.create ~depth:config.queue_depth ();
     now = 0.;
     pending = List.stable_sort compare_arrival arrivals;
     shed = [];

@@ -25,8 +25,7 @@ val policy_name : policy -> string
 type config = {
   lanes : int;
   policy : policy;
-  queue_depth : int;
-  shed : Request_queue.shed_policy;
+  queue_depth : int;  (** a full queue sheds the newcomer *)
   vm : Pc_vm.config;
       (** engine/instrument/sched for the lane pool; an instrument is
           created if absent so occupancy is always recorded (the lane
@@ -42,7 +41,7 @@ type config = {
 }
 
 val default_config : config
-(** 8 lanes, [Fifo], queue depth 64, [Reject_new], {!Pc_vm.default_config}. *)
+(** 8 lanes, [Fifo], queue depth 64, {!Pc_vm.default_config}. *)
 
 type record = {
   request : Request.t;

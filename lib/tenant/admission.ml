@@ -23,11 +23,7 @@ let level_name = function
   | Cap_width -> "cap-width"
   | Reject_new -> "reject-new"
 
-type reason = Queue_full | Overloaded of level
-
-let reason_name = function
-  | Queue_full -> "queue-full"
-  | Overloaded l -> "overloaded:" ^ level_name l
+type reason = Queue_full | Overloaded of level | Too_wide
 
 type mode = Fair | Fifo
 
@@ -157,14 +153,6 @@ let with_notify t ~cause f =
       notify ~old_level:(level_of_rung before) ~new_level:(level_of_rung after)
         ~occupancy:(occupancy t) ~cause
 
-let class_length t slo =
-  match t.config.mode with
-  | Fifo ->
-    (* The baseline is class-blind; count by inspection. *)
-    let count l = List.length (List.filter (fun it -> item_slo it = slo) l) in
-    count t.queues.(0).front + count t.queues.(0).back
-  | Fair -> dq_length t.queues.(Tenant.rank slo)
-
 (* The degradation ladder: rung r engages when occupancy crosses
    [high_water + (r-1)/3 · (1 - high_water)] and releases when it falls
    back below the same threshold shifted down by the hysteresis band
@@ -193,8 +181,6 @@ let update_ladder t =
 let set_floor t lvl =
   if t.config.mode = Fair then
     with_notify t ~cause:"slo-floor" (fun () -> t.floor <- rung_of_level lvl)
-
-let floor_level t = level_of_rung t.floor
 
 (* The weakest (highest-rank) non-empty class; shedding victimizes it. *)
 let weakest_nonempty t =

@@ -36,8 +36,9 @@ val level_name : level -> string
 type reason =
   | Queue_full   (** the class queue was full and the offer was weakest *)
   | Overloaded of level  (** refused by the ladder at this level *)
-
-val reason_name : reason -> string
+  | Too_wide
+      (** wider than a whole shard's lanes, so no shard can ever serve
+          it; {!Tenant_server} refuses it on arrival *)
 
 (** [Fair] is the tenant stack: per-class queues, weighted-fair pop,
     rung-by-rung degradation. [Fifo] is the no-admission baseline arm:
@@ -103,14 +104,10 @@ val set_floor : t -> level -> unit
     releases it ([set_floor t Normal]). No-op in [Fifo] mode (the
     baseline has no ladder). *)
 
-val floor_level : t -> level
-(** The current floor (not the effective level). *)
-
 val occupancy : t -> float
 (** Queued / total capacity, the quantity the ladder thresholds read. *)
 
 val length : t -> int
-val class_length : t -> Tenant.slo -> int
 
 val offer : t -> item -> [ `Admitted | `Shed of item | `Rejected of reason ]
 (** Queue the item, advancing the ladder first. [`Shed victim] means the

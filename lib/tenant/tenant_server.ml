@@ -1,15 +1,12 @@
 type config = {
   lanes_per_shard : int;
   mesh : Mesh.t;
-  mode : Engine.mode;
-  policy : Sched_policy.t;
   admission : Admission.config;
   pool : Pool.config;
   preempt : bool;
   checkpoint_interval : int;
   faults : Fault.event list;
   keep_outputs : bool;
-  max_rounds : int;
   metrics : Obs_metrics.t option;
   sink : Obs_sink.t option;
   slo : Obs_slo.t option;
@@ -20,20 +17,21 @@ let default_config ~mesh =
   {
     lanes_per_shard = 8;
     mesh;
-    mode = Engine.Hybrid;
-    policy = Sched_policy.Earliest;
     admission = Admission.default;
     pool = Pool.default;
     preempt = true;
     checkpoint_interval = 32;
     faults = [];
     keep_outputs = true;
-    max_rounds = 10_000_000;
     metrics = None;
     sink = None;
     slo = None;
     slo_drive = false;
   }
+
+(* The round loop's safety valve: a run still going after this many rounds
+   has stopped making progress. *)
+let max_rounds = 10_000_000
 
 type completion = {
   c_item : Admission.item;
@@ -155,7 +153,7 @@ let run ?config src =
   let emit ev = match cfg.sink with Some s -> s ev | None -> () in
   let shards =
     Array.init n_shards (fun i ->
-        let engine = Engine.create ~device:(Mesh.device cfg.mesh i) ~mode:cfg.mode () in
+        let engine = Engine.create ~device:(Mesh.device cfg.mesh i) ~mode:Engine.Hybrid () in
         (match cfg.sink with
         | Some s -> Engine.set_sink engine (Obs_sink.tag_shard i s)
         | None -> ());
@@ -339,7 +337,6 @@ let run ?config src =
     let vm_config =
       {
         Pc_vm.default_config with
-        Pc_vm.sched = cfg.policy;
         engine = Some s.s_engine;
         sink = Option.map (Obs_sink.tag_shard s.s_id) cfg.sink;
       }
@@ -386,7 +383,7 @@ let run ?config src =
         let r = it.Admission.request in
         if Request.width r > z then begin
           (* Wider than a whole shard: unservable by construction. *)
-          rejected := (it, Admission.Queue_full) :: !rejected;
+          rejected := (it, Admission.Too_wide) :: !rejected;
           emit (Obs_sink.Request_rejected { id = r.Request.id; at = !now })
         end
         else if
@@ -875,7 +872,7 @@ let run ?config src =
   let finished = ref false in
   while not !finished do
     incr round;
-    if !round > cfg.max_rounds then
+    if !round > max_rounds then
       failwith
         (Printf.sprintf
            "Tenant_server.run: max_rounds exceeded (no progress?): queued %d, \

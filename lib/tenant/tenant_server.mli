@@ -4,8 +4,8 @@
 
     The server owns one {!Pc_vm.Lanes} pool per mesh device ("shard"),
     each bound at any moment to one program digest (the {!Prog_cache}
-    identity). A deterministic round loop drives everything on the
-    simulated clock:
+    identity), scheduling earliest-block-first on a [Hybrid] engine. A
+    deterministic round loop drives everything on the simulated clock:
 
     + ingest due arrivals through the tenant token buckets and
       {!Admission};
@@ -45,8 +45,6 @@
 type config = {
   lanes_per_shard : int;
   mesh : Mesh.t;             (** one potential shard per device *)
-  mode : Engine.mode;
-  policy : Sched_policy.t;
   admission : Admission.config;
   pool : Pool.config;
   preempt : bool;            (** enable latency-bound preemption *)
@@ -57,7 +55,6 @@ type config = {
   keep_outputs : bool;
       (** store every completion's output tensors (the bitwise gate
           needs them; million-request sweeps turn this off) *)
-  max_rounds : int;          (** safety valve; raises when exceeded *)
   metrics : Obs_metrics.t option;
   sink : Obs_sink.t option;
       (** Beyond the engine/VM event stream, the server emits
@@ -83,9 +80,9 @@ type config = {
 }
 
 val default_config : mesh:Mesh.t -> config
-(** 8 lanes per shard, [Hybrid] engines, [Sched_policy.Earliest],
-    {!Admission.default}, {!Pool.default}, preemption on, checkpoint
-    every 32 rounds, no faults, outputs kept, no SLO monitor. *)
+(** 8 lanes per shard, {!Admission.default}, {!Pool.default},
+    preemption on, checkpoint every 32 rounds, no faults, outputs kept,
+    no SLO monitor. *)
 
 type completion = {
   c_item : Admission.item;
@@ -140,4 +137,5 @@ val run : ?config:config -> source -> stats
     set, per-class latency histograms
     (["latency_total_" ^ Tenant.slo_name], queue/service variants) are
     populated from the completion records at the end — after fault
-    rollback, so replayed work is counted exactly once. *)
+    rollback, so replayed work is counted exactly once. Raises [Failure]
+    past 10{^7} rounds, the no-progress safety valve. *)

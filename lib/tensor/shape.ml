@@ -82,5 +82,3 @@ let drop_outer s =
 
 let to_string s =
   Printf.sprintf "[%s]" (String.concat ";" (Array.to_list (Array.map string_of_int s)))
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -49,5 +49,3 @@ val drop_outer : t -> t
 
 val to_string : t -> string
 (** E.g. ["[2;3]"]; ["[]"] for scalars. *)
-
-val pp : Format.formatter -> t -> unit

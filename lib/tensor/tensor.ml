@@ -101,9 +101,6 @@ let add = map2 ( +. )
 let sub = map2 ( -. )
 let mul = map2 ( *. )
 let div = map2 ( /. )
-let pow = map2 ( ** )
-let maximum = map2 Float.max
-let minimum = map2 Float.min
 let neg = map (fun x -> -.x)
 let abs = map Float.abs
 let sign = map (fun x -> if x > 0. then 1. else if x < 0. then -1. else 0.)
@@ -138,7 +135,6 @@ let logaddexp_f a b =
     hi +. Stdlib.log1p (Stdlib.exp (lo -. hi))
   end
 
-let logaddexp = map2 logaddexp_f
 let add_scalar t v = map (fun x -> x +. v) t
 let mul_scalar t v = map (fun x -> x *. v) t
 
@@ -146,13 +142,11 @@ let mul_scalar t v = map (fun x -> x *. v) t
 
 let bool_f b = if b then 1. else 0.
 let eq = map2 (fun x y -> bool_f (x = y))
-let ne = map2 (fun x y -> bool_f (x <> y))
 let lt = map2 (fun x y -> bool_f (x < y))
 let le = map2 (fun x y -> bool_f (x <= y))
 let gt = map2 (fun x y -> bool_f (x > y))
 let ge = map2 (fun x y -> bool_f (x >= y))
 let logical_and = map2 (fun x y -> bool_f (x <> 0. && y <> 0.))
-let logical_or = map2 (fun x y -> bool_f (x <> 0. || y <> 0.))
 let logical_not = map (fun x -> bool_f (x = 0.))
 
 let where cond a b =

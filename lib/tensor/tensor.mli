@@ -66,9 +66,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
-val pow : t -> t -> t
-val maximum : t -> t -> t
-val minimum : t -> t -> t
 val neg : t -> t
 val abs : t -> t
 val sign : t -> t
@@ -88,22 +85,17 @@ val logaddexp_f : float -> float -> float
 (** Scalar versions of the stable sigmoid/log-sigmoid/log-sum-exp-of-two,
     for reuse in primitive definitions. *)
 
-val logaddexp : t -> t -> t
-(** Elementwise stable [log (exp a + exp b)] with broadcasting. *)
-
 val add_scalar : t -> float -> t
 val mul_scalar : t -> float -> t
 
 (** {1 Comparison and logic (results are 0/1 tensors)} *)
 
 val eq : t -> t -> t
-val ne : t -> t -> t
 val lt : t -> t -> t
 val le : t -> t -> t
 val gt : t -> t -> t
 val ge : t -> t -> t
 val logical_and : t -> t -> t
-val logical_or : t -> t -> t
 val logical_not : t -> t
 val where : t -> t -> t -> t
 (** [where cond a b]: elementwise [a] where [cond] is non-zero else [b],

@@ -290,43 +290,3 @@ let block_stats t =
 let pushes t = t.pushes
 let pops t = t.pops
 let max_depth t = t.max_depth
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>blocks %d, overall utilization %.3f, pushes %d, pops %d, max depth %d@,"
-    t.blocks (overall_utilization t) t.pushes t.pops t.max_depth;
-  let entries =
-    Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.prims []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (name, s) ->
-      Format.fprintf ppf "%s: useful %d / issued %d@," name s.useful s.issued)
-    entries;
-  Format.fprintf ppf "@]"
-
-let to_json t =
-  let img = capture t in
-  Obs_json.Obj
-    [
-      ("overall_utilization", Obs_json.Float (overall_utilization t));
-      ("mean_occupancy", Obs_json.Float (mean_occupancy t));
-      ("blocks_executed", Obs_json.Int img.i_blocks);
-      ("pushes", Obs_json.Int img.i_pushes);
-      ("pops", Obs_json.Int img.i_pops);
-      ("max_depth", Obs_json.Int img.i_max_depth);
-      ( "prims",
-        Obs_json.Obj
-          (List.map
-             (fun (name, useful, issued) ->
-               ( name,
-                 Obs_json.Obj
-                   [
-                     ("useful", Obs_json.Int useful);
-                     ("issued", Obs_json.Int issued);
-                     ( "utilization",
-                       Obs_json.Float
-                         (float_of_int useful /. float_of_int (max 1 issued)) );
-                   ] ))
-             img.i_prims) );
-    ]

@@ -93,10 +93,3 @@ val capture : t -> image
 val restore : t -> image -> unit
 (** Overwrite [t] with the image (counts, per-key tables, occupancy
     gauge), so a recovered run reports statistics from time zero. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_json : t -> Obs_json.t
-(** Machine-readable readout for report documents: overall utilization,
-    mean occupancy, block/push/pop/depth totals, and the per-primitive
-    useful/issued table. *)

@@ -3,7 +3,6 @@ type config = {
   engine : Engine.t option;
   instrument : Instrument.t option;
   max_steps : int;
-  initial_depth : int;
   top_cache : bool;
   naive_stack_writes : bool;
   member_base : int;
@@ -16,7 +15,6 @@ let default_config =
     engine = None;
     instrument = None;
     max_steps = 100_000_000;
-    initial_depth = 4;
     top_cache = true;
     naive_stack_writes = false;
     member_base = 0;
@@ -24,6 +22,9 @@ let default_config =
   }
 
 exception Step_limit_exceeded
+
+(* Initial per-variable stack capacity, in frames; stacks double from it. *)
+let initial_depth = 4
 
 (* The program-counter stack: same layout as Stacked but over ints. *)
 module Pc_stack = struct
@@ -172,7 +173,7 @@ module Lanes = struct
       | Var_class.Temp -> Reg (ref (Tensor.zeros (Shape.concat_outer t.z elem)))
       | Var_class.Masked -> Msk (ref (Tensor.zeros (Shape.concat_outer t.z elem)))
       | Var_class.Stacked ->
-        Stk (Stacked.create ~z:t.z ~elem ~initial_depth:t.config.initial_depth ())
+        Stk (Stacked.create ~z:t.z ~elem ~initial_depth ())
     in
     Hashtbl.replace t.store v s;
     s
@@ -191,7 +192,7 @@ module Lanes = struct
         store = Hashtbl.create 64;
         (* All lanes start idle: pc top parked at [halt]. *)
         pc = Pc_stack.create ~z ~bottom:halt ~start:halt
-               ~initial_depth:config.initial_depth;
+               ~initial_depth;
         members = Array.init z (fun i -> config.member_base + i);
         occupied = Array.make z false;
         counts = Array.make (Array.length p.Stack_ir.blocks) 0;
@@ -313,7 +314,7 @@ module Lanes = struct
         Array.blit (Tensor.data inp) 0 (Tensor.data dst) 0 (Tensor.numel inp))
       t.p.Stack_ir.inputs batch;
     (* The pc stack's capacity is part of the image: start it afresh. *)
-    let cap = max 1 t.config.initial_depth in
+    let cap = initial_depth in
     t.pc.Pc_stack.cap <- cap;
     t.pc.Pc_stack.data <- Array.make (cap * t.z) 0;
     for lane = 0 to t.z - 1 do
@@ -529,7 +530,7 @@ module Lanes = struct
           | Vm_image.Stk simg, _ ->
             let s =
               Stacked.create ~z:t.z ~elem:simg.Stacked.i_elem
-                ~initial_depth:t.config.initial_depth ()
+                ~initial_depth ()
             in
             Stacked.restore s simg;
             Stk s

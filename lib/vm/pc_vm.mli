@@ -18,7 +18,6 @@ type config = {
   engine : Engine.t option;
   instrument : Instrument.t option;
   max_steps : int;
-  initial_depth : int;        (** initial per-variable stack capacity *)
   top_cache : bool;
       (** O4. The implementation always keeps the cache (reads are host
           arrays either way); disabling charges the simulated cost of

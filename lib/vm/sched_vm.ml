@@ -4,8 +4,6 @@ type config = {
   lanes : int;
   mesh : Mesh.t;
   mode : Engine.mode option;
-  collective : Collectives.algorithm;
-  max_steps : int;
   sink : Obs_sink.t option;
 }
 
@@ -16,8 +14,6 @@ let default_config =
     lanes = 8;
     mesh = Mesh.gpu_pod ~n:1 ();
     mode = None;
-    collective = Collectives.Ring;
-    max_steps = 100_000_000;
     sink = None;
   }
 
@@ -35,9 +31,9 @@ type result = {
   sim_time : float;
 }
 
-(* Per planning round every device contributes its lane view to an
+(* Per planning round every device contributes its lane view to a ring
    all-reduce (the same convergence flag Shard_vm pays, plus the live/free
-   counts the planner reads). *)
+   counts the planner reads); the outputs come home in a ring all-gather. *)
 let sync_bytes = 8.
 
 let batch_size batch =
@@ -86,7 +82,6 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
             Pc_vm.default_config with
             sched = config.policy;
             engine = engines.(i);
-            max_steps = config.max_steps;
             sink;
           }
         in
@@ -211,11 +206,11 @@ let run ?(config = default_config) reg (p : Stack_ir.program) ~batch =
   in
   let all_reduce_total =
     float_of_int !rounds
-    *. Collectives.all_reduce_time config.mesh config.collective
+    *. Collectives.all_reduce_time config.mesh Collectives.Ring
          ~bytes:sync_bytes
   in
   let all_gather_total =
-    Collectives.all_gather_time config.mesh config.collective
+    Collectives.all_gather_time config.mesh Collectives.Ring
       ~bytes:output_bytes
   in
   let collective_time = all_reduce_total +. all_gather_total in

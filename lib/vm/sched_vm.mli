@@ -33,8 +33,6 @@ type config = {
   mode : Engine.mode option;
       (** [Some mode] prices the run on one engine per mesh device;
           [None] runs uncosted (differential tests). *)
-  collective : Collectives.algorithm;
-  max_steps : int;  (** per-pool superstep bound *)
   sink : Obs_sink.t option;
       (** Sees shard-tagged [Step]/[Occupancy] from every pool, each
           device's [Launched] spans, one {!Obs_sink.Migration} per
@@ -58,7 +56,8 @@ type result = {
   migration_bytes : float;
   compute_time : float;  (** max per-device simulated seconds *)
   collective_time : float;
-      (** per-round sync all-reduce + final output all-gather *)
+      (** per-round sync all-reduce + final output all-gather, both
+          {!Collectives.Ring} *)
   sim_time : float;  (** [compute_time + collective_time] *)
 }
 
@@ -69,5 +68,5 @@ val run :
   batch:Tensor.t list ->
   result
 (** Raises [Invalid_argument] on an empty batch, [lanes <= 0], or a plan
-    with refills disabled; {!Pc_vm.Step_limit_exceeded} past
-    [max_steps]. *)
+    with refills disabled; {!Pc_vm.Step_limit_exceeded} when a
+    pool passes [Pc_vm.default_config.max_steps] supersteps. *)

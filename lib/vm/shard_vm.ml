@@ -15,7 +15,6 @@ type config = {
   mode : Engine.mode option;
   collective : Collectives.algorithm;
   sched : Sched_policy.t;
-  max_steps : int;
   sink : Obs_sink.t option;
 }
 
@@ -25,7 +24,6 @@ let default_config =
     mode = None;
     collective = Collectives.Ring;
     sched = Sched_policy.Earliest;
-    max_steps = 100_000_000;
     sink = None;
   }
 
@@ -88,7 +86,6 @@ let run ?(config = default_config) reg program ~batch =
             {
               Pc_vm.default_config with
               sched = config.sched;
-              max_steps = config.max_steps;
               engine;
               instrument = Some instrument;
               member_base = part.offset;
@@ -101,7 +98,6 @@ let run ?(config = default_config) reg program ~batch =
             {
               Local_vm.default_config with
               sched = config.sched;
-              max_steps = config.max_steps;
               engine;
               instrument = Some instrument;
               member_base = part.offset;

@@ -37,7 +37,6 @@ type config = {
           without cost accounting (wall-clock benchmarking) *)
   collective : Collectives.algorithm;
   sched : Sched_policy.t;
-  max_steps : int;
   sink : Obs_sink.t option;
       (** Observability seam threaded into each shard's VM: [Step] events
           arrive re-tagged with their shard index ({!Obs_sink.tag_shard}),

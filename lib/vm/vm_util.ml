@@ -27,8 +27,6 @@ let stack_move_bytes ~lanes ~row = 2. *. bytes_per_elem *. float_of_int (lanes *
 
 let elem_shape_of_batched t = Shape.drop_outer (Tensor.shape t)
 
-let all_members z = Array.init z (fun i -> i)
-
 (* The one place a runtime announces a superstep. [Step] and [Occupancy]
    are built here, once, and only when someone listens; the sink sees
    both before the instrument counts, so a sink that raises on [Step]

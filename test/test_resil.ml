@@ -111,6 +111,40 @@ let test_codec_bounds () =
   expect_corrupt "giant array claim" (fun () ->
       Codec.r_float_array (Codec.reader (Buffer.contents buf)))
 
+(* Lengths past max_int / 8 wrap the byte count [8 * n]: 2^59 + 1 to a
+   negative number, 2^60 to zero. The guard must still refuse them, both
+   from a raw reader and inside a well-formed, correctly checksummed
+   envelope (the checksum is no defence against a crafted blob). Two
+   valid zero elements follow the length, so a reader that got past the
+   guard would decode its first element and then try to allocate. *)
+let test_codec_overflowing_length () =
+  List.iter
+    (fun n ->
+      let payload b =
+        Codec.w_int b n;
+        Codec.w_int b 0;
+        Codec.w_int b 0
+      in
+      let buf = Buffer.create 24 in
+      payload buf;
+      let raw = Buffer.contents buf in
+      let blob = Snapshot.encode ~kind:"test-kind" payload in
+      let readers =
+        [
+          ("int", fun r -> ignore (Codec.r_int_array r));
+          ("float", fun r -> ignore (Codec.r_float_array r));
+          ("bool", fun r -> ignore (Codec.r_bool_array r));
+        ]
+      in
+      List.iter
+        (fun (what, read) ->
+          expect_corrupt (Printf.sprintf "raw %s array of %d" what n) (fun () ->
+              read (Codec.reader raw));
+          expect_corrupt (Printf.sprintf "enveloped %s array of %d" what n)
+            (fun () -> Snapshot.decode ~kind:"test-kind" blob read))
+        readers)
+    [ (1 lsl 59) + 1; 1 lsl 60 ]
+
 let test_fnv_basis () =
   Alcotest.(check int64) "fnv1a64 empty = offset basis" 0xcbf29ce484222325L
     (Codec.fnv1a64 "");
@@ -530,34 +564,26 @@ let test_recovery_server_bitwise_all_policies () =
   in
   List.iter
     (fun policy ->
-      List.iter
-        (fun shed ->
-          let name =
-            Printf.sprintf "%s/%s" (Server.policy_name policy)
-              (match shed with
-              | Request_queue.Reject_new -> "reject-new"
-              | Request_queue.Drop_oldest -> "drop-oldest")
-          in
-          (* A tight queue forces the shedding path to actually run. *)
-          let config =
-            { Server.default_config with Server.lanes = 3; policy; queue_depth = 2; shed }
-          in
-          let base_stats, base_st =
-            Recovery.run_server ~config ~program:compiled requests
-          in
-          let stats, st =
-            Recovery.run_server ~config ~interval:3
-              ~plan:
-                (fault_plan ~seed:13
-                   ~horizon:base_st.Recovery.useful_supersteps
-                   ~kinds:[ Fault.Device_kill ])
-              ~program:compiled requests
-          in
-          Alcotest.(check bool) (name ^ ": faults fired") true
-            (st.Recovery.restores > 0);
-          Alcotest.(check int64) (name ^ ": bitwise identical trace")
-            (server_digest base_stats) (server_digest stats))
-        [ Request_queue.Reject_new; Request_queue.Drop_oldest ])
+      let name = Server.policy_name policy in
+      (* A tight queue forces the shedding path to actually run. *)
+      let config =
+        { Server.default_config with Server.lanes = 3; policy; queue_depth = 2 }
+      in
+      let base_stats, base_st =
+        Recovery.run_server ~config ~program:compiled requests
+      in
+      let stats, st =
+        Recovery.run_server ~config ~interval:3
+          ~plan:
+            (fault_plan ~seed:13
+               ~horizon:base_st.Recovery.useful_supersteps
+               ~kinds:[ Fault.Device_kill ])
+          ~program:compiled requests
+      in
+      Alcotest.(check bool) (name ^ ": faults fired") true
+        (st.Recovery.restores > 0);
+      Alcotest.(check int64) (name ^ ": bitwise identical trace")
+        (server_digest base_stats) (server_digest stats))
     [ Server.Fifo; Server.Shortest_first; Server.Synchronous ]
 
 (* ---------- property fuzzing ---------- *)
@@ -611,6 +637,7 @@ let suites =
       [
         t "primitive round trips" `Quick test_codec_roundtrip;
         t "bounds checking" `Quick test_codec_bounds;
+        t "overflowing array length" `Quick test_codec_overflowing_length;
         t "fnv1a64 basis" `Quick test_fnv_basis;
       ] );
     ( "resil-envelope",

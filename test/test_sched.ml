@@ -502,6 +502,56 @@ let test_sched_vm_accounting () =
     (r.Sched_vm.migrations = 0 || r.Sched_vm.migration_bytes > 0.);
   Alcotest.(check bool) "clock advanced" true (r.Sched_vm.sim_time > 0.)
 
+(* The collective charges are fixed (ring all-reduce of the 8-byte sync
+   flag every round, ring all-gather of the outputs at the end), so a
+   costed run's clock decomposes exactly. Every engine charge emits a
+   [Launched] span, so the latest span end is the busiest device's
+   elapsed time. *)
+let test_sched_vm_collective_accounting () =
+  let latest = ref 0. in
+  let sink = function
+    | Obs_sink.Launched { t1; _ } -> latest := Float.max !latest t1
+    | _ -> ()
+  in
+  let mesh = Mesh.gpu_pod ~n:2 () in
+  let config =
+    {
+      Sched_vm.default_config with
+      lanes = 2;
+      mesh;
+      mode = Some Engine.Fused;
+      sink = Some sink;
+    }
+  in
+  let r =
+    Sched_vm.run ~config walk_compiled.Autobatch.registry
+      walk_compiled.Autobatch.stack ~batch:walk_batch
+  in
+  let output_bytes =
+    List.fold_left
+      (fun acc t -> acc +. (8. *. float_of_int (Tensor.numel t)))
+      0. r.Sched_vm.outputs
+  in
+  let expected_collective =
+    (float_of_int r.Sched_vm.supersteps
+    *. Collectives.all_reduce_time mesh Collectives.Ring ~bytes:8.)
+    +. Collectives.all_gather_time mesh Collectives.Ring ~bytes:output_bytes
+  in
+  Alcotest.(check bool) "collectives cost something" true
+    (r.Sched_vm.collective_time > 0.);
+  Alcotest.(check (float 0.)) "collective priced from rounds and outputs"
+    expected_collective r.Sched_vm.collective_time;
+  Alcotest.(check (float 0.)) "sim time decomposes"
+    (r.Sched_vm.compute_time +. r.Sched_vm.collective_time)
+    r.Sched_vm.sim_time;
+  Alcotest.(check (float 0.)) "compute is the busiest device" !latest
+    r.Sched_vm.compute_time;
+  (* The counters sum both devices' clocks: the busiest holds at least
+     half of it and at most all of it. *)
+  let total = r.Sched_vm.counters.Engine.Counters.elapsed_seconds in
+  Alcotest.(check bool) "busiest device within the summed clocks" true
+    (r.Sched_vm.compute_time >= total /. 2. && r.Sched_vm.compute_time <= total)
+
 let suites =
   [
     ( "sched-policy",
@@ -531,5 +581,6 @@ let suites =
       [
         ("invalid configs rejected", `Quick, test_sched_vm_rejects);
         ("defrag run accounting", `Quick, test_sched_vm_accounting);
+        ("collective accounting", `Quick, test_sched_vm_collective_accounting);
       ] );
   ]

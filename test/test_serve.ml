@@ -208,7 +208,7 @@ let test_queue_shortest_order () =
     [ a; b; c; d ]
 
 let test_queue_shed_reject_new () =
-  let q = Request_queue.create ~depth:2 ~shed:Request_queue.Reject_new () in
+  let q = Request_queue.create ~depth:2 () in
   let r id = fib_request ~id 3. in
   Alcotest.(check bool) "first" true (Request_queue.offer q (r 0) = `Admitted);
   Alcotest.(check bool) "second" true (Request_queue.offer q (r 1) = `Admitted);
@@ -217,17 +217,6 @@ let test_queue_shed_reject_new () =
   | `Admitted -> Alcotest.fail "expected shed");
   Alcotest.(check int) "depth held" 2 (Request_queue.length q);
   Alcotest.(check int) "shed counted" 1 (Request_queue.shed_total q)
-
-let test_queue_shed_drop_oldest () =
-  let q = Request_queue.create ~depth:2 ~shed:Request_queue.Drop_oldest () in
-  let r id = fib_request ~id 3. in
-  ignore (Request_queue.offer q (r 0));
-  ignore (Request_queue.offer q (r 1));
-  (match Request_queue.offer q (r 2) with
-  | `Shed victim -> Alcotest.(check int) "oldest shed" 0 victim.Request.id
-  | `Admitted -> Alcotest.fail "expected shed");
-  Alcotest.(check (list int)) "newcomer admitted in place" [ 1; 2 ]
-    (List.map (fun x -> x.Request.id) (Request_queue.to_list q))
 
 (* ---------- server determinism ---------- *)
 
@@ -321,42 +310,16 @@ let test_serve_arrival_order_invariance () =
 
 let test_server_sheds_on_full_queue () =
   (* 1 lane, queue depth 2, 6 simultaneous arrivals: the head is admitted
-     to the lane, two wait, three are shed (Reject_new keeps the oldest). *)
+     to the lane, two wait, three are shed (the newcomers). *)
   let trace = List.init 6 (fun id -> fib_request ~id 10.) in
   let stats =
     Server.run
-      ~config:
-        {
-          Server.default_config with
-          lanes = 1;
-          queue_depth = 2;
-          shed = Request_queue.Reject_new;
-        }
+      ~config:{ Server.default_config with lanes = 1; queue_depth = 2 }
       ~program:(Lazy.force fib_compiled) trace
   in
   Alcotest.(check int) "three served" 3 (List.length stats.Server.completions);
   Alcotest.(check (list int)) "newest shed" [ 3; 4; 5 ]
-    (List.map (fun r -> r.Request.id) stats.Server.shed);
-  let stats_drop =
-    Server.run
-      ~config:
-        {
-          Server.default_config with
-          lanes = 1;
-          queue_depth = 2;
-          shed = Request_queue.Drop_oldest;
-        }
-      ~program:(Lazy.force fib_compiled) trace
-  in
-  (* Drop_oldest keeps the freshest two waiters (ids 4 and 5) plus the
-     request already on the lane. *)
-  Alcotest.(check (list int)) "oldest shed" [ 1; 2; 3 ]
-    (List.map (fun r -> r.Request.id) stats_drop.Server.shed);
-  Alcotest.(check (list int)) "freshest served" [ 0; 4; 5 ]
-    (List.sort compare
-       (List.map
-          (fun c -> c.Server.request.Request.id)
-          stats_drop.Server.completions))
+    (List.map (fun r -> r.Request.id) stats.Server.shed)
 
 let test_server_idles_between_arrivals () =
   (* Arrival gaps far larger than a request's service time: the server
@@ -693,7 +656,6 @@ let suites =
         t "fifo head-of-line blocking" `Quick test_queue_fifo_blocking;
         t "shortest-first order" `Quick test_queue_shortest_order;
         t "reject-new shed" `Quick test_queue_shed_reject_new;
-        t "drop-oldest shed" `Quick test_queue_shed_drop_oldest;
       ] );
     ( "serve-determinism",
       [

@@ -404,6 +404,31 @@ let test_server_preemption_bitwise () =
     ((by_id 1).Tenant_server.c_finished < (by_id 0).Tenant_server.c_finished);
   check_all_solo "preempt" st
 
+let test_server_rejects_too_wide () =
+  (* Three lanes on two-lane shards: no shard can ever host it, so it is
+     refused on arrival with its own reason, and the narrow request
+     behind it is served as usual. *)
+  let config =
+    {
+      (Tenant_server.default_config ~mesh:(default_mesh 1)) with
+      Tenant_server.lanes_per_shard = 2;
+    }
+  in
+  let st =
+    Tenant_server.run ~config
+      (Tenant_server.source_of_list
+         [ mk_item ~id:0 ~width:3 ~n:4 (); mk_item ~id:1 ~width:1 ~n:4 () ])
+  in
+  (match st.Tenant_server.rejected with
+  | [ (it, Admission.Too_wide) ] ->
+    Alcotest.(check int) "the wide request" 0 it.Admission.request.Request.id
+  | _ -> Alcotest.fail "expected exactly one Too_wide rejection");
+  Alcotest.(check (list int)) "the narrow request completes" [ 1 ]
+    (List.map
+       (fun c -> c.Tenant_server.c_item.Admission.request.Request.id)
+       st.Tenant_server.completions);
+  check_all_solo "too wide" st
+
 let kill_scenario () =
   let config =
     {
@@ -525,6 +550,7 @@ let suites =
         t "preemption is bitwise invisible" `Quick test_server_preemption_bitwise;
         t "device kill recovers bitwise" `Quick test_server_kill_recovers_bitwise;
         t "kill replay is deterministic" `Quick test_server_kill_replay_deterministic;
+        t "too-wide request is rejected" `Quick test_server_rejects_too_wide;
       ] );
     ( "tenant-load",
       [
